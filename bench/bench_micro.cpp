@@ -19,7 +19,7 @@
 #include "grid/fieldset.hpp"
 #include "kernels/reference.hpp"
 #include "kernels/update.hpp"
-#include "kernels/update_simd.hpp"
+#include "kernels/row_kernel.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
 #include "tiling/dag.hpp"
@@ -30,7 +30,9 @@ namespace {
 
 using namespace emwd;
 
-void BM_UpdateRow(benchmark::State& state) {
+// One instance per row-kernel variant this CPU runs (registered in main):
+// the Sec. VI SIMD question, answered for the bit-exact dispatched kernels.
+void BM_UpdateRow(benchmark::State& state, kernels::RowFn kernel) {
   const int n = static_cast<int>(state.range(0));
   std::vector<double> x(2 * n, 1.0), t(2 * n, 0.5), c(2 * n, 0.25), src(2 * n, 0.1);
   std::vector<double> a(2 * 3 * n, 0.3), b(2 * 3 * n, 0.7);
@@ -45,40 +47,13 @@ void BM_UpdateRow(benchmark::State& state) {
   args.ds = 1.0;
   args.n = n;
   for (auto _ : state) {
-    kernels::update_row(args);
+    kernel(args);
     benchmark::DoNotOptimize(x.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * n);
   state.counters["flops/cell"] = 22;
 }
-BENCHMARK(BM_UpdateRow)->Arg(64)->Arg(256)->Arg(1024);
-
-// The paper's Sec. VI SIMD investigation: AVX2 vs scalar row kernel.
-void BM_UpdateRowAvx2(benchmark::State& state) {
-  if (!kernels::avx2_supported()) {
-    state.SkipWithError("AVX2 not available");
-    return;
-  }
-  const int n = static_cast<int>(state.range(0));
-  std::vector<double> x(2 * n, 1.0), t(2 * n, 0.5), c(2 * n, 0.25), src(2 * n, 0.1);
-  std::vector<double> a(2 * 3 * n, 0.3), b(2 * 3 * n, 0.7);
-  kernels::RowArgs args;
-  args.x = x.data();
-  args.t = t.data();
-  args.c = c.data();
-  args.src = src.data();
-  args.a = a.data() + 2 * n;
-  args.b = b.data() + 2 * n;
-  args.shift = -n;
-  args.ds = 1.0;
-  args.n = n;
-  for (auto _ : state) {
-    kernels::update_row_avx2(args);
-    benchmark::DoNotOptimize(x.data());
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_UpdateRowAvx2)->Arg(64)->Arg(256)->Arg(1024);
 
 void BM_ReferenceStep(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
@@ -246,6 +221,13 @@ void BM_EngineSpec(benchmark::State& state, const std::string& spec_text) {
 int main(int argc, char** argv) {
   const std::string spec =
       emwd::bench::consume_engine_flag(argc, argv, "mwd(dw=4,bz=2)");
+  for (const emwd::kernels::RowKernel& k : emwd::kernels::row_kernels()) {
+    benchmark::RegisterBenchmark((std::string("BM_UpdateRow/") + k.name).c_str(),
+                                 [fn = k.fn](benchmark::State& s) { BM_UpdateRow(s, fn); })
+        ->Arg(64)
+        ->Arg(256)
+        ->Arg(1024);
+  }
   benchmark::RegisterBenchmark(("BM_EngineSpec/" + spec).c_str(),
                                [spec](benchmark::State& s) { BM_EngineSpec(s, spec); });
   benchmark::Initialize(&argc, argv);

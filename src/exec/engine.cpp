@@ -6,7 +6,7 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "kernels/update_simd.hpp"
+#include "kernels/row_kernel.hpp"
 #include "util/json.hpp"
 
 namespace emwd::exec {
@@ -105,10 +105,9 @@ EngineStats EngineStats::from_json(const util::JsonValue& v) {
   s.halo_unstage_seconds = v.get_double("halo_unstage_seconds", 0.0);
   s.halo_transport = v.get_string("halo_transport", "");
   // kernel_isa is a static never-dangling string in EngineStats; intern the
-  // known names and degrade anything else to the scalar default.
-  const std::string isa = v.get_string("kernel_isa", "scalar");
-  s.kernel_isa = isa == "avx2" ? kernels::to_string(kernels::KernelIsa::Avx2)
-                               : kernels::to_string(kernels::KernelIsa::Scalar);
+  // dispatch-table names and degrade anything else to the scalar default.
+  const char* isa = kernels::kernel_isa_name(v.get_string("kernel_isa", "scalar"));
+  s.kernel_isa = isa != nullptr ? isa : "scalar";
   return s;
 }
 

@@ -58,13 +58,11 @@ struct EngineStats {
   /// "socket", "mpi", ...).  Empty for engines without a halo; registry
   /// names are dynamic, hence a string rather than a static pointer.
   std::string halo_transport;
-  /// Row-kernel ISA the engine actually dispatched to ("scalar" / "avx2";
-  /// static string, never dangles).  Defaults to "scalar" — every engine,
-  /// including wrappers and test doubles that never touch dispatch, reports
-  /// the bitwise-reference kernel unless dispatch overrides it, so stats
-  /// and bench CSV columns are never empty.  A dispatch miss in an
-  /// ISA-selecting build is thereby visible rather than silently degrading
-  /// throughput.
+  /// Row-kernel variant the engine ran (kernels::row_kernel().name:
+  /// "scalar" / "avx2"; static string, never dangles).  Defaults to
+  /// "scalar" so wrappers and test doubles that never run a kernel still
+  /// fill bench CSV columns; aggregation promotes it to whatever a
+  /// contributing engine dispatched to.
   const char* kernel_isa = "scalar";
 
   /// Exchange stall a shard could not hide: wait + copy - hidden.

@@ -1,48 +1,6 @@
 #include "kernels/update.hpp"
 
 namespace emwd::kernels {
-namespace {
-
-/// Core loop shared by the src / no-src variants.  `HasSrc` is a compile-time
-/// switch so the no-source kernel carries no dead loads (paper Listing 2).
-template <bool HasSrc>
-inline void update_row_impl(const RowArgs& g) noexcept {
-  double* __restrict x = g.x;
-  const double* __restrict t = g.t;
-  const double* __restrict c = g.c;
-  const double* __restrict src = g.src;
-  const double* __restrict a = g.a;
-  const double* __restrict b = g.b;
-  const double* __restrict as = g.a + 2 * g.shift;
-  const double* __restrict bs = g.b + 2 * g.shift;
-  const double ds = g.ds;
-  const int n2 = 2 * g.n;
-
-  for (int i = 0; i < n2; i += 2) {
-    // Difference of the two partner split parts, base minus shifted (signed).
-    const double re = ds * (a[i] - as[i] + b[i] - bs[i]);
-    const double im = ds * (a[i + 1] - as[i + 1] + b[i + 1] - bs[i + 1]);
-    // Complex X*t - c*(re + i*im) (+ Src), exactly as the paper's listings.
-    double xr = x[i] * t[i] - x[i + 1] * t[i + 1] - c[i] * re + c[i + 1] * im;
-    double xi = x[i] * t[i + 1] + x[i + 1] * t[i] - c[i] * im - c[i + 1] * re;
-    if constexpr (HasSrc) {
-      xr += src[i];
-      xi += src[i + 1];
-    }
-    x[i] = xr;
-    x[i + 1] = xi;
-  }
-}
-
-}  // namespace
-
-void update_row(const RowArgs& args) noexcept {
-  if (args.src != nullptr) {
-    update_row_impl<true>(args);
-  } else {
-    update_row_impl<false>(args);
-  }
-}
 
 std::ptrdiff_t shift_offset(const grid::Layout& layout, Comp comp) {
   const CompInfo& ci = info(comp);
@@ -85,6 +43,11 @@ void update_cell_wrapped(grid::FieldSet& fs, Comp comp, int i, int i_partner, in
 }
 
 void update_comp_row(grid::FieldSet& fs, Comp comp, int x0, int x1, int j, int k) {
+  update_comp_row(fs, comp, x0, x1, j, k, row_kernel().fn);
+}
+
+void update_comp_row(grid::FieldSet& fs, Comp comp, int x0, int x1, int j, int k,
+                     RowFn kernel) {
   if (x1 <= x0) return;
   const CompInfo& ci = info(comp);
   const grid::Layout& layout = fs.layout();
@@ -117,7 +80,7 @@ void update_comp_row(grid::FieldSet& fs, Comp comp, int x0, int x1, int j, int k
   args.shift = shift_offset(layout, comp);
   args.ds = static_cast<double>(ci.diff_sign);
   args.n = x1 - x0;
-  update_row(args);
+  kernel(args);
 }
 
 }  // namespace emwd::kernels

@@ -1,36 +1,14 @@
-// The THIIM component-update kernels.
-//
-// update_row() is the library's innermost loop: one x-row of one split
-// component, in exactly the complex-arithmetic form of the paper's Listings
-// 1 and 2 (interleaved re/im doubles, read-modify-write of the component,
-// two partner reads at base and shifted index, complex t and c coefficients,
-// optional source term).
+// The THIIM component-update kernels: per-row wrappers around the
+// dispatched row kernel (kernels/row_kernel.hpp).
 #pragma once
 
 #include <cstddef>
 
 #include "grid/fieldset.hpp"
 #include "kernels/components.hpp"
+#include "kernels/row_kernel.hpp"
 
 namespace emwd::kernels {
-
-/// Parameters of one row update.  All pointers address interleaved doubles
-/// and already point at the first complex cell of the row (x = x0).
-struct RowArgs {
-  double* x;             // component being updated (read-modify-write)
-  const double* t;       // tX coefficient
-  const double* c;       // cX coefficient
-  const double* src;     // source term or nullptr
-  const double* a;       // partner split part A at base index
-  const double* b;       // partner split part B at base index
-  std::ptrdiff_t shift;  // partner offset in complex cells (signed)
-  double ds;             // diff_sign: +1 => (cur - shifted), -1 => (shifted - cur)
-  int n;                 // complex cells in the row
-};
-
-/// X[p] = t[p]*X[p] (+ src[p]) - c[p] * (ds*(A[p]-A[p+shift]) + ds*(B[p]-B[p+shift]))
-/// with full complex arithmetic (22 flops/cell with src, 20 without).
-void update_row(const RowArgs& args) noexcept;
 
 /// Convenience wrapper: updates component `comp` for the x-range [x0, x1)
 /// of row (j, k) of `fs`.  Resolves arrays, shift offset and diff sign from
@@ -40,6 +18,11 @@ void update_row(const RowArgs& args) noexcept;
 /// scheme.  The wrapped reads target the *other* field's previous
 /// half-step values, so tiling and thread splits stay race-free unchanged.
 void update_comp_row(grid::FieldSet& fs, Comp comp, int x0, int x1, int j, int k);
+
+/// The same through an explicit row-kernel variant (one of row_kernels()),
+/// so tests can step a scene with each variant in turn.
+void update_comp_row(grid::FieldSet& fs, Comp comp, int x0, int x1, int j, int k,
+                     RowFn kernel);
 
 /// One cell with an explicit partner-read x position (the peeled iteration).
 void update_cell_wrapped(grid::FieldSet& fs, Comp comp, int i, int i_partner, int j,

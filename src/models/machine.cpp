@@ -27,7 +27,11 @@ Machine host_machine() {
   m.name = "host";
   m.cores = info.logical_cpus;
   m.llc_bytes = info.l3_bytes;
-  // Rough defaults; calibrate_pcore()/calibrate_bandwidth() refine them.
+  // Guesses, not measurements: nothing in the library measures this host's
+  // bandwidth or core rate yet (calibrate_pcore() only stores a rate the
+  // caller measured).  With these values every candidate whose tiles fit
+  // the usable LLC predicts the same MLUP/s, so the tuner's tie-break
+  // (tune::candidate_better) picks the shape.
   m.bandwidth_bytes_per_s = 20e9;
   m.ghz = 2.0;
   m.pcore_mlups = 8.0;

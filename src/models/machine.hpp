@@ -2,9 +2,9 @@
 //
 // `haswell18` reproduces the paper's testbed (18-core Xeon E5-2699 v3,
 // 2.3 GHz, 45 MiB shared L3, ~50 GB/s applicable memory bandwidth, Turbo
-// and CoD off).  `host()` builds a description of the machine we are
-// actually running on, with calibration hooks for the single-core in-cache
-// update rate.
+// and CoD off).  `host_machine()` builds a description of the machine we
+// are actually running on: detected cores and caches, guessed bandwidth
+// and single-core rate.
 #pragma once
 
 #include <cstdint>
@@ -30,8 +30,9 @@ struct Machine {
 /// The paper's 18-core Haswell EP testbed.
 Machine haswell18();
 
-/// This host: detected core count and caches; bandwidth and pcore start as
-/// estimates and can be overwritten by calibration (see perf_model).
+/// This host: detected core count and caches; bandwidth and pcore are
+/// fixed guesses (a caller that measured the core rate can store it with
+/// calibrate_pcore() in perf_model).
 Machine host_machine();
 
 }  // namespace emwd::models

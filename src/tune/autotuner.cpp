@@ -35,12 +35,10 @@ bool candidate_better(const Candidate& a, const Candidate& b) {
   if (fa != fb) return fa;
   if (a.predicted_mlups != b.predicted_mlups) return a.predicted_mlups > b.predicted_mlups;
   if (a.params.dw != b.params.dw) return a.params.dw > b.params.dw;
-  // Model ties: prefer the intra-tile split shape the paper's measurements
-  // favour — 2-3 threads across field components, long x rows per thread.
-  const auto comp_pref = [](int tc) { return tc == 2 || tc == 3; };
-  if (comp_pref(a.params.tc) != comp_pref(b.params.tc)) return comp_pref(a.params.tc);
+  // Model ties: a thread group shares a tile only to shrink the cache block
+  // (Sec. II-B); when both fit, the smaller group pays fewer barriers.
+  if (a.params.tg_size() != b.params.tg_size()) return a.params.tg_size() < b.params.tg_size();
   if (a.params.tx != b.params.tx) return a.params.tx < b.params.tx;
-  if (a.params.tg_size() != b.params.tg_size()) return a.params.tg_size() > b.params.tg_size();
   if (a.params.bz != b.params.bz) return a.params.bz < b.params.bz;
   return a.params.tz < b.params.tz;
 }

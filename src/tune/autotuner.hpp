@@ -60,9 +60,13 @@ Candidate score_candidate(const exec::MwdParams& p, const grid::Extents& grid,
                           const models::Machine& m);
 
 /// Canonical ranking predicate: fitting candidates first, then predicted
-/// performance, larger diamonds, component parallelism of 2-3 (the split
-/// the paper's tuner converges on, Fig. 7b), smaller x splits (longer
-/// per-thread rows), larger groups.
+/// performance, larger diamonds, then smaller thread groups.  The paper
+/// shares a tile across a group only to shrink the cache block when
+/// per-thread tiles do not fit (Sec. II-B, Fig. 7b); once the model says
+/// both fit, a smaller group does the same work with fewer intra-group
+/// barriers.  Remaining ties: smaller x splits (longer per-thread rows),
+/// shallower z windows, fewer z-threads (so a group splits components
+/// before it splits z).
 bool candidate_better(const Candidate& a, const Candidate& b);
 
 /// Full auto-tune.  With timed_refinement the tuner allocates a FieldSet of

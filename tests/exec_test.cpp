@@ -13,6 +13,7 @@
 #include "exec/thread_pool.hpp"
 #include "exec/traversal.hpp"
 #include "kernels/reference.hpp"
+#include "kernels/row_kernel.hpp"
 #include "tiling/diamond.hpp"
 #include "util/json.hpp"
 
@@ -340,6 +341,20 @@ TEST(EngineStatsJson, AbsentFieldsKeepDefaultsUnknownIgnored) {
   EXPECT_STREQ(s.kernel_isa, "scalar");
 }
 
+TEST(EngineStatsJson, InternsEveryDispatchTableName) {
+  for (const kernels::RowKernel& k : kernels::row_kernels()) {
+    exec::EngineStats x;
+    x.kernel_isa = k.name;
+    const std::string json = x.to_json();
+    const exec::EngineStats y = exec::EngineStats::from_json(util::JsonValue::parse(json));
+    // Interned to the table's own static string, not merely equal text.
+    EXPECT_EQ(y.kernel_isa, k.name) << json;
+  }
+  const exec::EngineStats unknown = exec::EngineStats::from_json(
+      util::JsonValue::parse("{\"kernel_isa\":\"not_an_isa\"}"));
+  EXPECT_STREQ(unknown.kernel_isa, "scalar");
+}
+
 TEST(EngineStatsMerge, ZeroSecondsPairTakesMaxMlups) {
   exec::EngineStats a;
   a.mlups = 5.0;
@@ -351,22 +366,26 @@ TEST(EngineStatsMerge, ZeroSecondsPairTakesMaxMlups) {
 }
 
 TEST(Engines, StatsRecordTheResolvedKernelIsa) {
-  // All stock engines drive the scalar bitwise-reference row kernel; the
-  // stats field exists so an ISA-dispatch miss is observable, not silent.
+  // Every stock engine reports the row-kernel variant dispatch chose for
+  // this CPU, so the stats say which ISA actually executed.
+  const char* isa = kernels::row_kernel().name;
   grid::Layout L({8, 8, 8});
   grid::FieldSet fs(L);
   em::build_random_stable(fs, 59);
   auto naive = exec::make_naive_engine(1);
   naive->run(fs, 1);
-  EXPECT_STREQ(naive->stats().kernel_isa, "scalar");
+  EXPECT_STREQ(naive->stats().kernel_isa, isa);
   auto spatial = exec::make_spatial_engine(1);
   spatial->run(fs, 1);
-  EXPECT_STREQ(spatial->stats().kernel_isa, "scalar");
+  EXPECT_STREQ(spatial->stats().kernel_isa, isa);
   exec::MwdParams p;
   p.dw = 2;
   auto mwd = exec::make_mwd_engine(p);
   mwd->run(fs, 1);
-  EXPECT_STREQ(mwd->stats().kernel_isa, "scalar");
+  EXPECT_STREQ(mwd->stats().kernel_isa, isa);
+  auto wavefront = exec::make_wavefront_engine(exec::WavefrontParams{}, L.interior());
+  wavefront->run(fs, 1);
+  EXPECT_STREQ(wavefront->stats().kernel_isa, isa);
 }
 
 TEST(Engines, KernelIsaNeverEmptyEvenForWrapperEngines) {

@@ -1,23 +1,30 @@
-// SIMD kernel equivalence (paper Sec. VI future-work investigation).
+// Golden-hash gate for the row-kernel ISA variants: every variant this
+// binary compiled and this CPU supports must be bit-for-bit the scalar
+// kernel, row by row and over whole time steps.  This is what holds the
+// per-ISA compile flags (no FMA, -ffp-contract=off) honest.
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <vector>
 
+#include "kernels/components.hpp"
+#include "kernels/row_kernel.hpp"
 #include "kernels/update.hpp"
-#include "kernels/update_simd.hpp"
+#include "thiim/simulation.hpp"
 #include "util/rng.hpp"
 
 namespace {
 
 using namespace emwd;
 using kernels::RowArgs;
+using kernels::RowKernel;
 
 struct RowData {
   std::vector<double> x, t, c, src, a, b;
   int n;
 
-  explicit RowData(int cells, std::uint64_t seed) : n(cells) {
+  RowData(int cells, std::uint64_t seed) : n(cells) {
     util::Xoshiro256 rng(seed);
     auto fill = [&](std::vector<double>& v, int len) {
       v.resize(static_cast<std::size_t>(len));
@@ -31,7 +38,7 @@ struct RowData {
     fill(b, 2 * 3 * n);
   }
 
-  RowArgs args(std::vector<double>& xbuf, std::ptrdiff_t shift, bool with_src) {
+  RowArgs args(std::vector<double>& xbuf, std::ptrdiff_t shift, bool with_src, double ds) {
     RowArgs g;
     g.x = xbuf.data();
     g.t = t.data();
@@ -40,53 +47,95 @@ struct RowData {
     g.a = a.data() + 2 * n;
     g.b = b.data() + 2 * n;
     g.shift = shift;
-    g.ds = 1.0;
+    g.ds = ds;
     g.n = n;
     return g;
   }
 };
 
-TEST(Simd, ReportsAvailability) {
-  // Must not crash; value is hardware-dependent.
-  const bool ok = kernels::avx2_supported();
-  (void)ok;
-  SUCCEED();
+/// Bitwise equality (EXPECT_EQ on doubles would let -0.0 == +0.0 through).
+bool same_bits(const std::vector<double>& p, const std::vector<double>& q) {
+  return p.size() == q.size() &&
+         std::memcmp(p.data(), q.data(), p.size() * sizeof(double)) == 0;
 }
 
-TEST(Simd, IsaResolutionIsObservable) {
-  using kernels::KernelIsa;
-  // Scalar always resolves to itself; an AVX2 request resolves to AVX2
-  // exactly when the build + CPU support it, and otherwise falls back to
-  // scalar VISIBLY (callers record the resolved name in stats/CSVs).
-  EXPECT_EQ(kernels::resolve_isa(KernelIsa::Scalar), KernelIsa::Scalar);
-  const KernelIsa got = kernels::resolve_isa(KernelIsa::Avx2);
-  if (kernels::avx2_supported()) {
-    EXPECT_EQ(got, KernelIsa::Avx2);
-  } else {
-    EXPECT_EQ(got, KernelIsa::Scalar);
+/// FNV-1a over the bit patterns of all 12 field components.
+std::uint64_t field_hash(const grid::FieldSet& fs) {
+  const grid::Layout& L = fs.layout();
+  std::uint64_t h = 1469598103934665603ull;
+  for (const kernels::CompInfo& ci : kernels::kComps) {
+    const double* data = fs.field(ci.self).data();
+    for (int k = 0; k < L.nz(); ++k) {
+      for (int j = 0; j < L.ny(); ++j) {
+        const double* row = data + 2 * L.at(0, j, k);
+        for (int d = 0; d < 2 * L.nx(); ++d) {
+          std::uint64_t word = 0;
+          std::memcpy(&word, row + d, sizeof word);
+          h = (h ^ word) * 1099511628211ull;
+        }
+      }
+    }
   }
-  EXPECT_STREQ(kernels::to_string(KernelIsa::Scalar), "scalar");
-  EXPECT_STREQ(kernels::to_string(KernelIsa::Avx2), "avx2");
+  return h;
 }
 
-TEST(Simd, Avx2MatchesScalarAcrossShapes) {
-  if (!kernels::avx2_supported()) GTEST_SKIP() << "no AVX2 on this machine";
-  // Odd and even cell counts (tail path), both shift directions, both
-  // source variants, several random seeds.
-  for (int n : {1, 2, 3, 8, 17, 64, 129}) {
-    for (std::uint64_t seed : {1ull, 2ull}) {
-      RowData d(n, seed);
-      for (std::ptrdiff_t shift : {-static_cast<std::ptrdiff_t>(n), +static_cast<std::ptrdiff_t>(n), static_cast<std::ptrdiff_t>(-1)}) {
+/// Field hash of a periodic-x scene with z-PML, a plane wave and a dipole
+/// after `steps` naive-order steps through the given row-kernel variant.
+std::uint64_t scene_hash(kernels::RowFn kernel, int steps) {
+  thiim::SimulationConfig cfg;
+  cfg.grid = {13, 10, 24};  // odd nx: every row has an odd-length tail
+  cfg.wavelength_cells = 10.0;
+  cfg.pml.thickness = 4;
+  cfg.x_boundary = grid::XBoundary::Periodic;
+  cfg.engine_spec = "naive(threads=1)";
+  thiim::Simulation sim(cfg);
+  sim.finalize();
+  sim.add_plane_wave(em::SourceField::Ex, 6, {1.0, 0.5});
+  sim.add_point_dipole(em::SourceField::Ey, 4, 5, 12, {0.25, -1.0});
+  grid::FieldSet& fs = sim.fields();
+  const grid::Layout& L = fs.layout();
+  for (int s = 0; s < steps; ++s) {
+    for (const auto* comps : {&kernels::kHComps, &kernels::kEComps}) {
+      for (kernels::Comp comp : *comps) {
+        for (int k = 0; k < L.nz(); ++k) {
+          for (int j = 0; j < L.ny(); ++j) {
+            kernels::update_comp_row(fs, comp, 0, L.nx(), j, k, kernel);
+          }
+        }
+      }
+    }
+  }
+  return field_hash(fs);
+}
+
+TEST(RowKernelDispatch, ScalarFirstDispatchedLast) {
+  const auto table = kernels::row_kernels();
+  ASSERT_FALSE(table.empty());
+  EXPECT_STREQ(table.front().name, "scalar");
+  EXPECT_EQ(&kernels::row_kernel(), &table.back());
+  for (const RowKernel& k : table) {
+    EXPECT_EQ(kernels::kernel_isa_name(k.name), k.name);
+  }
+  EXPECT_EQ(kernels::kernel_isa_name("not_an_isa"), nullptr);
+}
+
+TEST(RowKernelDispatch, EveryVariantMatchesScalarBitwiseOnRandomRows) {
+  const RowKernel& scalar = kernels::row_kernels().front();
+  for (const RowKernel& variant : kernels::row_kernels()) {
+    // Odd and even lengths (vector tails), both shift directions, near and
+    // far partners, both diff signs, with and without the source term.
+    for (int n : {1, 2, 3, 5, 8, 17, 64, 129}) {
+      RowData d(n, 1000u + static_cast<std::uint64_t>(n));
+      const std::ptrdiff_t far = n;
+      for (std::ptrdiff_t shift : {-far, far, std::ptrdiff_t{-1}, std::ptrdiff_t{1}}) {
         for (bool with_src : {true, false}) {
-          std::vector<double> x_scalar = d.x;
-          std::vector<double> x_simd = d.x;
-          kernels::update_row(d.args(x_scalar, shift, with_src));
-          kernels::update_row_avx2(d.args(x_simd, shift, with_src));
-          for (int i = 0; i < 2 * n; ++i) {
-            EXPECT_NEAR(x_simd[static_cast<std::size_t>(i)],
-                        x_scalar[static_cast<std::size_t>(i)], 1e-13)
-                << "n=" << n << " shift=" << shift << " src=" << with_src
-                << " i=" << i;
+          for (double ds : {1.0, -1.0}) {
+            std::vector<double> want = d.x, got = d.x;
+            scalar.fn(d.args(want, shift, with_src, ds));
+            variant.fn(d.args(got, shift, with_src, ds));
+            EXPECT_TRUE(same_bits(want, got))
+                << variant.name << " n=" << n << " shift=" << shift << " src=" << with_src
+                << " ds=" << ds;
           }
         }
       }
@@ -94,31 +143,13 @@ TEST(Simd, Avx2MatchesScalarAcrossShapes) {
   }
 }
 
-TEST(Simd, DiffSignHonoured) {
-  if (!kernels::avx2_supported()) GTEST_SKIP() << "no AVX2 on this machine";
-  RowData d(16, 3);
-  for (double ds : {+1.0, -1.0}) {
-    std::vector<double> x_scalar = d.x, x_simd = d.x;
-    RowArgs gs = d.args(x_scalar, -16, true);
-    gs.ds = ds;
-    RowArgs gv = d.args(x_simd, -16, true);
-    gv.ds = ds;
-    kernels::update_row(gs);
-    kernels::update_row_avx2(gv);
-    for (int i = 0; i < 32; ++i) {
-      EXPECT_NEAR(x_simd[static_cast<std::size_t>(i)],
-                  x_scalar[static_cast<std::size_t>(i)], 1e-13);
-    }
-  }
-}
-
-TEST(Simd, DispatchFallsBackToScalar) {
-  RowData d(8, 5);
-  std::vector<double> x_scalar = d.x, x_disp = d.x;
-  kernels::update_row(d.args(x_scalar, 8, false));
-  kernels::update_row_isa(d.args(x_disp, 8, false), kernels::KernelIsa::Scalar);
-  for (int i = 0; i < 16; ++i) {
-    EXPECT_EQ(x_disp[static_cast<std::size_t>(i)], x_scalar[static_cast<std::size_t>(i)]);
+TEST(RowKernelDispatch, EveryVariantReproducesTheScalarFieldHash) {
+  constexpr int kSteps = 20;
+  const kernels::RowFn scalar = kernels::row_kernels().front().fn;
+  const std::uint64_t want = scene_hash(scalar, kSteps);
+  ASSERT_NE(want, scene_hash(scalar, 0)) << "the scene must evolve";
+  for (const RowKernel& variant : kernels::row_kernels()) {
+    EXPECT_EQ(scene_hash(variant.fn, kSteps), want) << variant.name;
   }
 }
 

@@ -104,6 +104,25 @@ TEST(Autotune, SharedBlocksWinAtLargeGrids) {
   EXPECT_LE(rl.best_candidate.overflow, 1.0);
 }
 
+TEST(Autotune, SmallestGroupWinsWhenPerThreadTilesFit) {
+  // Sec. II-B: a group shares one tile only to shrink the cache block.  When
+  // one dw=32 tile per thread fits the usable LLC, groups of one do the same
+  // work without intra-group barriers.
+  const grid::Extents g{128, 128, 192};
+  const double block = models::cache_block_bytes(32, 1, g.nx);
+  tune::TuneConfig cfg;
+  cfg.threads = 3;
+  cfg.grid = g;
+  cfg.machine.cores = 3;
+  cfg.machine.llc_bytes =
+      static_cast<std::uint64_t>(3.0 * block / models::usable_cache_fraction()) + 1;
+  const auto result = tune::autotune(cfg);
+  EXPECT_EQ(result.best.tg_size(), 1);
+  EXPECT_EQ(result.best.num_tgs, 3);
+  EXPECT_EQ(result.best.dw, 32);
+  EXPECT_LE(result.best_candidate.overflow, 1.0);
+}
+
 TEST(Autotune, RankedListIsSortedByScoreWithinFitness) {
   tune::TuneConfig cfg;
   cfg.threads = 6;
