@@ -1,14 +1,16 @@
 #!/usr/bin/env python3
-"""Gate the row-kernel ISA an optimized build actually ran.
+"""Gate the row-kernel ISA a build's engines actually ran.
 
 Every engine records the dispatched row-kernel variant in its stats
 ("kernel_isa").  This script collects every "kernel_isa" value from the
-given JSON documents (at any depth) and requires each to name the variant
-the CPU advertises: "avx2" when /proc/cpuinfo lists the avx2 flag on an
-x86-64 host, "scalar" otherwise.  A build whose dispatch silently fell
-back to scalar on an AVX2 runner fails here.
+given engine-stats JSON documents (at any depth) and requires each to name
+the variant the CPU advertises: "avx2" when /proc/cpuinfo lists the avx2
+flag on an x86-64 host, "scalar" otherwise.  A build whose dispatch
+silently fell back to scalar on an AVX2 runner fails here.  Pass only
+documents whose kernel_isa comes from engine stats (the daemon status
+JSON's scheduler.engine), not a program's own report of the dispatch.
 
-    python3 .github/check_kernel_isa.py SERVE_status.json BENCH_overlap.json
+    python3 .github/check_kernel_isa.py SERVE_status.json
 
 Exit code 0 = gate passed.
 """
