@@ -21,13 +21,14 @@ timing.  Sequence:
      run, re-run with --resume: the corpse must be quarantined as
      job<i>.ckpt.bad, the job restarted from scratch, and the CSV again
      byte-identical;
-  5. shm sweep: the same sweep over the shared-memory ring transport
-     (transport=shm), barrier and overlap modes, no faults: the CSV is
-     observables-only, so both must be byte-identical to the baseline;
-  6. shm chaos: the overlap shm sweep bombarded with transport faults
-     (transport.stage throws mid-protocol, transport.shm.torn simulates a
-     torn ring slot) plus retries and checkpointing: must exit 0 with
-     fires > 0 and, again, a byte-identical CSV.
+  5. staged sweep: the same sweep with the overlapped exchange, whose
+     halos travel through Transport::stage/unstage, no faults: the CSV is
+     observables-only, so it must be byte-identical to the (barrier-mode)
+     baseline;
+  6. staged chaos: the overlap sweep bombarded with transport faults
+     (transport.stage and transport.unstage throw mid-protocol) plus
+     retries and checkpointing: must exit 0 with fires > 0, retries > 0
+     and, again, a byte-identical CSV.
 
 Exit code 0 = gate passed.
 """
@@ -96,22 +97,19 @@ def main():
     # exhaust --retries=4); snapshot.writer kills one background write.
     ap.add_argument("--faults",
                     default="engine.step=every:7*3;snapshot.writer=once:2")
-    # Phase 5/6: the zero-copy shared-memory ring transport, whose staged
-    # protocol (and its injected torn-slot/stage failures) must also leave
-    # the observables byte-identical.  tps=1 pins a per-shard thread budget,
-    # opting out of the builder's shards<=threads clamp: on a 1-2 vCPU
-    # runner the jobs' slots may offer a single core, and without tps the
-    # engine would silently collapse to one shard and stage nothing —
-    # making phase 6 vacuous.
-    ap.add_argument("--shm-engine",
-                    default="sharded(shards=2,interval=2,tps=1,"
-                            "transport=shm,inner=naive)")
-    ap.add_argument("--shm-engine-overlap",
-                    default="sharded(shards=2,interval=2,tps=1,"
-                            "transport=shm,overlap,inner=naive)")
-    ap.add_argument("--shm-faults",
+    # Phase 5/6: the overlapped exchange, whose staged halos (and their
+    # injected stage/unstage failures) must also leave the observables
+    # byte-identical.  tps=1 pins a per-shard thread budget, opting out of
+    # the builder's shards<=threads clamp: on a 1-2 vCPU runner the jobs'
+    # slots may offer a single core, and without tps the engine would
+    # silently collapse to one shard and stage nothing — making phase 6
+    # vacuous.
+    ap.add_argument("--staged-engine",
+                    default="sharded(shards=2,interval=2,tps=1,overlap,"
+                            "inner=naive)")
+    ap.add_argument("--staged-faults",
                     default="transport.stage=every:6*2;"
-                            "transport.shm.torn=once:3")
+                            "transport.unstage=once:3")
     ap.add_argument("--seed", default="42")
     args = ap.parse_args()
 
@@ -173,41 +171,38 @@ def main():
     print(f"OK: corrupt {victim} quarantined, job restarted from scratch, "
           f"observables intact")
 
-    # 5. shm transport, no faults: barrier and overlap modes must both
+    # 5. Overlapped exchange, no faults: the staged halo path must
     # reproduce the baseline observables byte-for-byte.
-    for label, engine in (("barrier", args.shm_engine),
-                          ("overlap", args.shm_engine_overlap)):
-        csv_path = f"FAULT_shm_{label}.csv"
-        run(sweep_cmd(args, csv_path, engine=engine),
-            f"FAULT_shm_{label}.log")
-        require_identical("FAULT_baseline.csv", csv_path,
-                          f"shm {label} vs baseline")
+    run(sweep_cmd(args, "FAULT_staged.csv", engine=args.staged_engine),
+        "FAULT_staged.log")
+    require_identical("FAULT_baseline.csv", "FAULT_staged.csv",
+                      "staged overlap vs baseline")
 
-    # 6. shm chaos: transport.stage throws mid-protocol and
-    # transport.shm.torn fires inside unstage; retries plus checkpoint
-    # recovery must still land on the identical CSV.
-    shm_workdir = args.workdir + "_shm"
-    if os.path.isdir(shm_workdir):
-        shutil.rmtree(shm_workdir)
-    os.makedirs(shm_workdir)
-    run(sweep_cmd(args, "FAULT_shm_chaos.csv", ckpt_dir=shm_workdir,
-                  retries=4, engine=args.shm_engine_overlap),
-        "FAULT_shm_chaos.log",
-        env={"EMWD_FAULTS": args.shm_faults, "EMWD_FAULT_SEED": args.seed})
-    require_identical("FAULT_baseline.csv", "FAULT_shm_chaos.csv",
-                      "shm chaos vs baseline")
-    with open("FAULT_shm_chaos.log") as fh:
+    # 6. Staged chaos: transport.stage and transport.unstage throw
+    # mid-protocol; retries plus checkpoint recovery must still land on
+    # the identical CSV.
+    staged_workdir = args.workdir + "_staged"
+    if os.path.isdir(staged_workdir):
+        shutil.rmtree(staged_workdir)
+    os.makedirs(staged_workdir)
+    run(sweep_cmd(args, "FAULT_staged_chaos.csv", ckpt_dir=staged_workdir,
+                  retries=4, engine=args.staged_engine),
+        "FAULT_staged_chaos.log",
+        env={"EMWD_FAULTS": args.staged_faults, "EMWD_FAULT_SEED": args.seed})
+    require_identical("FAULT_baseline.csv", "FAULT_staged_chaos.csv",
+                      "staged chaos vs baseline")
+    with open("FAULT_staged_chaos.log") as fh:
         log = fh.read()
     fires = sum(int(m) for m in re.findall(r"^FAULT \S+ hits=\d+ fires=(\d+)$",
                                            log, re.M))
     if fires == 0:
-        sys.exit("FAIL: shm chaos run fired no transport faults — the gate "
-                 "proved nothing (tune --shm-faults)")
+        sys.exit("FAIL: staged chaos run fired no transport faults — the "
+                 "gate proved nothing (tune --staged-faults)")
     m = re.search(r"fault recovery: (\d+) retried attempt\(s\)", log)
     if not m or int(m.group(1)) == 0:
-        sys.exit("FAIL: shm chaos run reported no retried attempts")
-    print(f"OK: shm chaos run survived {fires} injected transport fault(s) "
-          f"with {m.group(1)} retried attempt(s)")
+        sys.exit("FAIL: staged chaos run reported no retried attempts")
+    print(f"OK: staged chaos run survived {fires} injected transport "
+          f"fault(s) with {m.group(1)} retried attempt(s)")
     print("PASS: fault smoke")
     return 0
 

@@ -194,7 +194,7 @@ def main() -> int:
         default="",
         metavar="NAME",
         help="require rows that ran this halo transport, with nonzero staged "
-        "bytes on its overlap rows (e.g. shm)",
+        "bytes on its overlap rows (e.g. local)",
     )
     ap.add_argument(
         "--gate-max-threads",

@@ -125,7 +125,6 @@ int main(int argc, char** argv) {
   cli.add_flag("interval", "steps between halo exchanges", "1");
   cli.add_flag("repeats", "timed repeats per point (best wins)", "3");
   cli.add_flag("numa", "bind shards to NUMA nodes", "true");
-  cli.add_flag("transports", "halo transports to sweep (comma-separated)", "local");
   emwd::bench::add_engine_flag(cli, "");  // inner spec; empty = naive AND mwd
   cli.add_flag("checkpoint-every", "snapshot every N steps (async writer)", "0");
   cli.add_flag("checkpoint-dir", "directory for the snapshot files", "");
@@ -156,22 +155,6 @@ int main(int argc, char** argv) {
     return 1;
   }
   const std::vector<long> shard_counts = cli.get_int_list("shards", {1, 2, 4});
-  // Halo transports to sweep: twin rows per (inner, K, overlap) point, so
-  // the CSV/JSON quantify the transport's cost against in-process "local".
-  std::vector<std::string> transports;
-  {
-    std::string list = cli.get("transports", "local");
-    std::size_t pos = 0;
-    while (pos != std::string::npos) {
-      const std::size_t comma = list.find(',', pos);
-      const std::string name = list.substr(pos, comma == std::string::npos
-                                                    ? std::string::npos
-                                                    : comma - pos);
-      if (!name.empty()) transports.push_back(name);
-      pos = comma == std::string::npos ? comma : comma + 1;
-    }
-    if (transports.empty()) transports.push_back("local");
-  }
   // The sweep's inner engines: the unified --engine spec when given, else
   // the naive/mwd pair the smoke gates compare.
   std::vector<std::string> inners;
@@ -204,18 +187,12 @@ int main(int argc, char** argv) {
     for (long k : shard_counts) {
       for (bool overlap : {false, true}) {
         if (overlap && k <= 1) continue;  // overlap is a no-op on one shard
-        for (const std::string& transport : transports) {
-        // Staging only happens in overlap mode; a barrier-mode resweep per
-        // transport would duplicate rows whose pulls are identical.  Keep
-        // barrier rows for the baseline transport only.
-        if (!overlap && transport != transports.front()) continue;
         const int tps = std::max(1, threads / std::max(1, static_cast<int>(k)));
         const exec::EngineSpec inner_spec = exec::parse_engine_spec(inner);
         exec::EngineSpec spec;
         spec.kind = "sharded";
         spec.add("shards", k).add("interval", static_cast<long>(interval));
         if (overlap) spec.add_flag("overlap");
-        if (transport != "local") spec.add("transport", transport);
         // Pin the per-shard budget (K > threads oversubscribes on purpose)
         // — except for inner=auto, where the tuner derives it.
         if (inner_spec.kind != "auto") spec.add("tps", static_cast<long>(tps));
@@ -227,7 +204,7 @@ int main(int argc, char** argv) {
           const std::string ckpt_path =
               ckpt_every > 0 ? ckpt_dir + "/bench_" + inner + "_k" +
                                    std::to_string(k) + (overlap ? "_ov" : "") +
-                                   "_" + transport + ".ckpt"
+                                   ".ckpt"
                              : std::string();
           r = run_point(spec, layout, threads, steps, repeats,
                         0x5eedu + static_cast<unsigned>(k), ckpt_every, ckpt_path);
@@ -237,9 +214,7 @@ int main(int argc, char** argv) {
         }
         const exec::EngineStats& st = r.stats;
 
-        if (st.shards == 1 && !overlap && transport == transports.front()) {
-          base_mlups = st.mlups;
-        }
+        if (st.shards == 1 && !overlap) base_mlups = st.mlups;
         const double redundant_pct =
             useful > 0 ? 100.0 * static_cast<double>(st.lups - useful) /
                              static_cast<double>(useful)
@@ -257,7 +232,7 @@ int main(int argc, char** argv) {
                    util::fmt_double(redundant_pct, 3), st.halo_overlapped ? "1" : "0",
                    util::fmt_double(r.seconds, 6), util::fmt_double(r.halo_wait, 6),
                    util::fmt_double(r.halo_hidden, 6),
-                   util::fmt_double(r.halo_exposed, 6), transport,
+                   util::fmt_double(r.halo_exposed, 6), st.halo_transport,
                    util::fmt_double(
                        static_cast<double>(st.halo_staged_bytes) / (1024.0 * 1024.0), 3),
                    util::fmt_double(st.halo_stage_seconds, 6),
@@ -286,9 +261,7 @@ int main(int argc, char** argv) {
                      ", \"halo_hidden_s\": " + json_escape_free(r.halo_hidden) +
                      ", \"halo_exposed_s\": " + json_escape_free(r.halo_exposed) +
                      ", \"hidden_fraction\": " + json_escape_free(hidden_fraction) +
-                     ", \"transport\": \"" + transport + "\"" +
                      ", \"stats\": " + st.to_json() + '}';
-        }
       }
     }
   }

@@ -1,6 +1,7 @@
 #include "batch/job.hpp"
 
 #include <climits>
+#include <new>
 #include <sstream>
 #include <stdexcept>
 
@@ -44,6 +45,8 @@ const char* classify_error(const std::exception& e) {
   // invalid_argument, domain_error etc. all derive from logic_error: the
   // job description itself is wrong, so retrying is pointless.
   if (dynamic_cast<const std::logic_error*>(&e)) return "permanent";
+  // An allocation that did not fit fails the same way on every attempt.
+  if (dynamic_cast<const std::bad_alloc*>(&e)) return "permanent";
   return "transient";
 }
 

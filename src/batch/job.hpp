@@ -39,9 +39,10 @@ class DeadlineExceeded : public std::runtime_error {
 /// wire "class" member):
 ///   "deadline"  — DeadlineExceeded; the budget is spent, never retried
 ///   "permanent" — std::logic_error family (invalid_argument, domain_error,
-///                 ...): the job itself is wrong, a retry cannot help
-///   "transient" — everything else (I/O, system, injected faults, bad_alloc
-///                 arriving as runtime errors): eligible for retry
+///                 ...) and std::bad_alloc: the job itself is wrong or does
+///                 not fit in memory, a retry cannot help
+///   "transient" — everything else (I/O, system, injected faults): eligible
+///                 for retry
 const char* classify_error(const std::exception& e);
 
 /// Per-job retry policy: how many total attempts a transiently-failing job

@@ -103,14 +103,11 @@ void HaloExchange::reset_flow() {
   for (auto& c : posted_) c.v.store(0, std::memory_order_relaxed);
   for (auto& c : consumed_lo_) c.v.store(0, std::memory_order_relaxed);
   for (auto& c : consumed_hi_) c.v.store(0, std::memory_order_relaxed);
-  // Per-run transport state (ring sequences, in-flight frames) must not
-  // leak across runs of a reused engine.
+  // Per-run transport state (in-flight requests) must not leak across runs
+  // of a reused engine.
   transport_->reset();
   if (export_down_.empty()) {
     const int K = part_.num_shards();
-    // Zero-copy transports stage into their own storage (a mapped ring
-    // slot, a wire) and never read HaloBuffer::data; skip the heap copy.
-    const bool storage = transport_->wants_buffer_storage();
     export_down_.resize(static_cast<std::size_t>(K));
     export_up_.resize(static_cast<std::size_t>(K));
     for (int s = 0; s < K; ++s) {
@@ -125,11 +122,9 @@ void HaloExchange::reset_flow() {
         b.src_k0 = e.to_local(e.z0);
         b.src_shard = s;
         b.dst_shard = s - 1;
-        if (storage) {
-          b.data.assign(plane * static_cast<std::size_t>(b.planes) *
-                            static_cast<std::size_t>(kernels::kNumComps),
-                        0.0);
-        }
+        b.data.assign(plane * static_cast<std::size_t>(b.planes) *
+                          static_cast<std::size_t>(kernels::kNumComps),
+                      0.0);
       }
       if (s + 1 < K) {  // top owned planes become s+1's lo ghosts
         HaloBuffer& b = export_up_[static_cast<std::size_t>(s)];
@@ -137,11 +132,9 @@ void HaloExchange::reset_flow() {
         b.src_k0 = e.to_local(e.z1 - part_.shard(s + 1).lo);
         b.src_shard = s;
         b.dst_shard = s + 1;
-        if (storage) {
-          b.data.assign(plane * static_cast<std::size_t>(b.planes) *
-                            static_cast<std::size_t>(kernels::kNumComps),
-                        0.0);
-        }
+        b.data.assign(plane * static_cast<std::size_t>(b.planes) *
+                          static_cast<std::size_t>(kernels::kNumComps),
+                      0.0);
       }
     }
   }

@@ -56,8 +56,6 @@ std::map<std::string, TransportFactory>& registry() {
   static std::map<std::string, TransportFactory>* m = [] {
     auto* map = new std::map<std::string, TransportFactory>();
     (*map)["local"] = [] { return make_local_transport(); };
-    (*map)["shm"] = [] { return make_shm_transport(); };
-    (*map)["socket"] = [] { return make_socket_transport(); };
 #if defined(EMWD_WITH_MPI)
     (*map)["mpi"] = [] { return make_mpi_transport(); };
 #endif

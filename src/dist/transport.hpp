@@ -28,9 +28,8 @@ namespace emwd::dist {
 ///
 /// `src_shard`/`dst_shard` identify the CHANNEL the buffer travels on (one
 /// donor/consumer pair, one direction).  The exchange assigns them in
-/// reset_flow(); transports with out-of-band state (a shared-memory ring, a
-/// socket pair, an MPI peer rank) key that state on the pair, while the
-/// LocalTransport ignores them.
+/// reset_flow(); transports with out-of-band state (an MPI peer rank) key
+/// that state on the pair, while the LocalTransport ignores them.
 struct HaloBuffer {
   int src_k0 = 0;  // first donated plane, donor-local logical z
   int planes = 0;
@@ -62,33 +61,15 @@ class Transport {
   virtual void unstage(grid::FieldSet& dst, const HaloBuffer& buf, int dst_k0,
                        int planes) = 0;
 
-  /// Drop all per-run channel state (ring sequence numbers, in-flight
-  /// frames) so the same transport instance can carry a fresh run.  The
-  /// exchange calls this from reset_flow(), single-threaded.  Stateless
-  /// transports need not override.
+  /// Drop all per-run channel state (in-flight requests) so the same
+  /// transport instance can carry a fresh run.  The exchange calls this
+  /// from reset_flow(), single-threaded.  Stateless transports need not
+  /// override.
   virtual void reset() {}
-
-  /// False when stage()/unstage() move bytes through transport-owned
-  /// storage (a mapped ring slot, a wire) and never touch HaloBuffer::data
-  /// — the exchange then skips the heap allocation entirely (the zero-copy
-  /// path).  Default true: the buffer is the staging area.
-  virtual bool wants_buffer_storage() const { return true; }
 };
 
 /// The in-process transport: plain plane memcpys, today's behavior.
 std::unique_ptr<Transport> make_local_transport();
-
-/// Zero-copy shared-memory ring transport ("shm"): stage packs planes
-/// directly into a per-channel 2-slot ring in a shm_open/mmap segment with
-/// seqlock-style slot headers; unstage copies out of the mapped slot.  See
-/// src/dist/shm_transport.hpp for the normative wire format.
-std::unique_ptr<Transport> make_shm_transport();
-
-/// Stream-socket transport ("socket"): stage frames the packed planes over
-/// a per-channel socketpair using util/socket framing; a per-channel
-/// receiver thread drains frames into a bounded inbox that unstage pops —
-/// the cross-host idiom, exercised in-process.
-std::unique_ptr<Transport> make_socket_transport();
 
 #if defined(EMWD_WITH_MPI)
 /// One-rank-per-shard MPI transport ("mpi"): stage packs + MPI_Isend to the

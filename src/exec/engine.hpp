@@ -54,8 +54,8 @@ struct EngineStats {
   std::int64_t halo_unstaged_bytes = 0;  // payload unpacked by Transport::unstage
   double halo_stage_seconds = 0.0;       // thread-seconds inside stage
   double halo_unstage_seconds = 0.0;     // thread-seconds inside unstage
-  /// Name of the halo transport that moved the bytes ("local", "shm",
-  /// "socket", "mpi", ...).  Empty for engines without a halo; registry
+  /// Name of the halo transport that moved the bytes ("local", "mpi",
+  /// ...).  Empty for engines without a halo; registry
   /// names are dynamic, hence a string rather than a static pointer.
   std::string halo_transport;
   /// Row-kernel variant the engine ran (kernels::row_kernel().name:

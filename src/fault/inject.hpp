@@ -35,9 +35,6 @@
 // Registered point names (kept in sync with src/fault/README.md):
 //   transport.stage    Transport::stage, every registered transport (throws)
 //   transport.unstage  Transport::unstage, every registered transport (throws)
-//   transport.shm.map  dist::ShmTransport ring creation (shm_open) (throws)
-//   transport.shm.torn dist::ShmTransport::unstage before the header
-//                      validation — a torn/truncated ring slot (throws)
 //   snapshot.write     io::write_snapshot serialization entry (throws)
 //   snapshot.read      io::read_snapshot after the header parse (throws)
 //   snapshot.writer    io::SnapshotWriter background thread, per file (throws)

@@ -130,9 +130,7 @@ exec::EngineSpec ShardPlan::to_spec() const {
 
 double transport_cost_factor(const std::string& transport) {
   if (transport == "local") return 1.0;
-  if (transport == "shm") return 1.15;   // same memcpy + ring-slot protocol
-  if (transport == "socket") return 4.0; // two kernel crossings per byte
-  return 2.0;                            // mpi and unknown transports
+  return 2.0;  // mpi and unknown transports
 }
 
 }  // namespace emwd::tune

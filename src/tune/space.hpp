@@ -69,8 +69,8 @@ struct ShardPlan {
   /// an axis of the sharded search space (see enumerate_overlap_modes).
   bool overlap = false;
   /// Halo transport the plan runs over (dist::make_transport name).  Not a
-  /// searched axis — the caller picks the deployment (shm for process
-  /// isolation, mpi across nodes) and the tuner prices its per-byte cost
+  /// searched axis — the caller picks the deployment (local in one
+  /// process, mpi across ranks) and the tuner prices its per-byte cost
   /// into the exchange term via transport_cost_factor().
   std::string transport = "local";
   std::vector<exec::MwdParams> per_shard;  // size == num_shards
@@ -89,10 +89,9 @@ struct ShardPlan {
 /// Relative per-byte cost of a halo transport against the in-process
 /// baseline ("local" == 1.0): the multiplier the sharded tuner applies to
 /// its bandwidth-roof exchange term.  Coarse by design — it ranks plans, it
-/// does not predict wall time: shm adds a ring-slot protocol over the same
-/// memcpy; mpi adds matching and (potentially) a NIC; socket streams every
-/// byte through the kernel twice.  Unknown (user-registered) transports get
-/// the conservative mpi-class factor.
+/// does not predict wall time: mpi adds matching and (potentially) a NIC.
+/// Unknown (user-registered) transports get the conservative mpi-class
+/// factor.
 double transport_cost_factor(const std::string& transport);
 
 }  // namespace emwd::tune

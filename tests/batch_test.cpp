@@ -316,6 +316,38 @@ TEST(SweepDeterminism, RunSweepMatchesSchedulerAndPreservesAxisOrder) {
   EXPECT_EQ(swept.stats.completed, 3u);
 }
 
+TEST(SweepDefaults, AbsentEngineSpecResolvesToAConcreteTunedSpec) {
+  // A daemon sweep without `engine=` leaves base.engine_spec empty, and so
+  // does a wire job with "engine_spec":"".  Both mean `auto`: the result
+  // names the concrete spec the tuner picked, never an empty string.
+  batch::SweepConfig sweep;
+  sweep.base = scene_config(16.0, "");
+  sweep.steps = 2;
+  sweep.setup = paint_scene;
+  sweep.scheduler.concurrency = 1;
+  sweep.scheduler.pin_slots = false;
+
+  batch::Job wire = batch::Job::from_json(
+      std::string(R"({"name":"wire","steps":2,"config":{"grid":[10,10,16],)"
+                  R"("wavelength_cells":16,"pml":{"thickness":3},"engine_spec":"",)"
+                  R"("threads":2}})"));
+  EXPECT_TRUE(wire.config.engine_spec.empty());
+  wire.setup = paint_scene;
+  batch::Scheduler scheduler(sweep.scheduler);
+  scheduler.submit(std::move(wire));
+
+  std::vector<batch::JobResult> results = batch::run_sweep(sweep).results;
+  for (batch::JobResult& r : scheduler.wait_all()) results.push_back(std::move(r));
+  ASSERT_EQ(results.size(), 2u);
+  for (const batch::JobResult& r : results) {
+    ASSERT_TRUE(r.ok) << r.name << ": " << r.error;
+    ASSERT_FALSE(r.engine_spec.empty()) << r.name;
+    const exec::EngineSpec spec = exec::parse_engine_spec(r.engine_spec);
+    EXPECT_FALSE(tune::spec_needs_tuning(spec)) << r.engine_spec;
+    EXPECT_EQ(spec.kind, "mwd") << r.engine_spec;  // what `auto` tunes to
+  }
+}
+
 // ------------------------------------------------------------ pool effects
 
 TEST(SchedulerPooling, RepeatedShapesSkipRebuildAndRetuning) {
@@ -951,6 +983,26 @@ TEST(SchedulerRetry, PermanentErrorsAreNotRetried) {
   job.config = scene_config(14.0, "mwd(dw=0)");  // invalid: the request is wrong
   job.setup = paint_scene;
   job.retry.max_attempts = 5;
+  scheduler.submit(std::move(job));
+  const auto results = scheduler.wait_all();
+  EXPECT_FALSE(results[0].ok);
+  EXPECT_EQ(results[0].error_class, "permanent");
+  EXPECT_EQ(results[0].attempts, 1);
+  EXPECT_EQ(scheduler.stats().retries, 0u);
+}
+
+TEST(SchedulerRetry, OutOfMemoryIsPermanentAndNotRetried) {
+  // An allocation that failed once fails on every attempt: retrying a job
+  // that does not fit only repeats the failure.
+  batch::SchedulerConfig sched;
+  sched.concurrency = 1;
+  sched.pin_slots = false;
+  batch::Scheduler scheduler(sched);
+  batch::Job job;
+  job.config = scene_config(16.0, "naive");
+  job.setup = [](thiim::Simulation&, const batch::Job&) { throw std::bad_alloc(); };
+  job.retry.max_attempts = 3;
+  job.retry.backoff_seconds = 0.001;
   scheduler.submit(std::move(job));
   const auto results = scheduler.wait_all();
   EXPECT_FALSE(results[0].ok);

@@ -13,7 +13,6 @@
 #include "dist/numa.hpp"
 #include "dist/partition.hpp"
 #include "dist/sharded_engine.hpp"
-#include "dist/shm_transport.hpp"
 #include "dist/transport.hpp"
 #include "em/coefficients.hpp"
 #include "grid/fieldset.hpp"
@@ -479,8 +478,9 @@ TEST(Transport, UnknownNameErrorListsRegisteredTransports) {
       const std::string msg = e.what();
       EXPECT_NE(msg.find("registered:"), std::string::npos) << msg;
       EXPECT_NE(msg.find("local"), std::string::npos) << msg;
-      EXPECT_NE(msg.find("shm"), std::string::npos) << msg;
-      EXPECT_NE(msg.find("socket"), std::string::npos) << msg;
+#if defined(EMWD_WITH_MPI)
+      EXPECT_NE(msg.find("mpi"), std::string::npos) << msg;
+#endif
     }
   };
   expect_listing([] { (void)dist::make_transport("warp-drive"); });
@@ -490,8 +490,20 @@ TEST(Transport, UnknownNameErrorListsRegisteredTransports) {
     p.transport = "warp-drive";
     (void)dist::make_sharded_engine(p);
   });
-  EXPECT_NO_THROW(dist::require_transport("shm"));
-  EXPECT_NO_THROW(dist::require_transport("socket"));
+  EXPECT_NO_THROW(dist::require_transport("local"));
+
+  // The built-in set: `local`, plus `mpi` in an MPI build.  ("counting" is
+  // this file's own test transport, registered above.)
+  std::set<std::string> builtin;
+  for (const std::string& n : dist::transport_names()) {
+    if (n != "counting") builtin.insert(n);
+  }
+#if defined(EMWD_WITH_MPI)
+  EXPECT_NO_THROW(dist::require_transport("mpi"));
+  EXPECT_EQ(builtin, (std::set<std::string>{"local", "mpi"}));
+#else
+  EXPECT_EQ(builtin, (std::set<std::string>{"local"}));
+#endif
 }
 
 // ------------------------------------------ transport conformance suite
@@ -545,74 +557,6 @@ INSTANTIATE_TEST_SUITE_P(AllRegistered, TransportConformance,
                          [](const ::testing::TestParamInfo<std::string>& info) {
                            return info.param;
                          });
-
-// ------------------------------------------------ shm ring-slot fuzzing
-
-TEST(ShmTransportFuzz, CorruptedSlotHeadersSurfaceAsErrorsNeverUB) {
-  // Stage one donation, then corrupt each header field in turn: unstage
-  // must throw a descriptive runtime_error for every mutation — the wire
-  // format's validation contract (src/dist/README.md) — and never misread.
-  Layout L({4, 5, 12});
-  FieldSet src(L);
-  em::build_random_stable(src, 91);
-  for (int field = 0; field < 5; ++field) {
-    dist::ShmTransport t;
-    dist::HaloBuffer buf;
-    buf.planes = 2;
-    buf.src_k0 = 3;
-    buf.src_shard = 0;
-    buf.dst_shard = 1;
-    t.stage(src, buf);
-    dist::ShmSlotHeader* h = t.debug_slot_header(0, 1, 1 % dist::kRingSlots);
-    ASSERT_NE(h, nullptr) << "mutation " << field;
-    switch (field) {
-      case 0: h->magic.store(0xdeadbeefu, std::memory_order_relaxed); break;
-      case 1: h->round.store(7, std::memory_order_relaxed); break;      // wrong seq
-      case 2: h->round.store(0, std::memory_order_relaxed); break;      // stale seq
-      case 3: h->payload_bytes.store(12, std::memory_order_relaxed); break;  // truncated
-      case 4: h->state.store(dist::kSlotFree, std::memory_order_relaxed); break;
-    }
-    FieldSet dst(L);
-    em::build_random_stable(dst, 92);
-    EXPECT_THROW(t.unstage(dst, buf, 0, 2), std::runtime_error)
-        << "mutation " << field;
-  }
-
-  // The clean path through the same ring matches LocalTransport exactly.
-  dist::ShmTransport t;
-  dist::HaloBuffer buf;
-  buf.planes = 2;
-  buf.src_k0 = 3;
-  buf.src_shard = 0;
-  buf.dst_shard = 1;
-  t.stage(src, buf);
-  FieldSet dst(L), expected(L);
-  em::build_random_stable(dst, 92);
-  em::build_random_stable(expected, 92);
-  ASSERT_NO_THROW(t.unstage(dst, buf, 0, 2));
-
-  std::unique_ptr<dist::Transport> local = dist::make_local_transport();
-  dist::HaloBuffer lbuf;
-  lbuf.planes = 2;
-  lbuf.src_k0 = 3;
-  lbuf.data.assign(static_cast<std::size_t>(L.stride_z()) * 2 * 2 *
-                       static_cast<std::size_t>(kernels::kNumComps),
-                   0.0);
-  local->stage(src, lbuf);
-  local->unstage(expected, lbuf, 0, 2);
-  EXPECT_EQ(FieldSet::max_field_diff(dst, expected), 0.0);
-
-  // Unstaging a channel no producer ever created is an error, not a hang.
-  dist::ShmTransport fresh;
-  dist::HaloBuffer ghost;
-  ghost.planes = 2;
-  ghost.src_k0 = 0;
-  ghost.src_shard = 2;
-  ghost.dst_shard = 1;
-  FieldSet dst2(L);
-  em::build_random_stable(dst2, 93);
-  EXPECT_THROW(fresh.unstage(dst2, ghost, 0, 2), std::runtime_error);
-}
 
 // ------------------------------------------------- prepared-state reuse
 

@@ -219,7 +219,7 @@ exec::EngineStats sample_stats(double seconds, double mlups) {
   s.halo_unstaged_bytes = 2048;
   s.halo_stage_seconds = 0.015625;
   s.halo_unstage_seconds = 0.0078125;
-  s.halo_transport = "shm";
+  s.halo_transport = "mpi";
   s.kernel_isa = "avx2";
   return s;
 }
@@ -295,7 +295,7 @@ TEST(EngineStatsMerge, SumsTimesAndCountersMaxesPeaks) {
   EXPECT_EQ(a.shards, 4);
   EXPECT_TRUE(a.halo_overlapped);
   EXPECT_STREQ(a.kernel_isa, "avx2");
-  EXPECT_EQ(a.halo_transport, "shm");
+  EXPECT_EQ(a.halo_transport, "mpi");
   // Wall-time-weighted mean throughput: (30*1 + 10*3) / 4.
   EXPECT_EQ(a.mlups, 15.0);
 }

@@ -106,14 +106,13 @@ TEST(ExchangeIntervals, CappedByLimitThenByOwnedPlanes) {
 // ---------------------------------------------------------- transport axis
 
 TEST(TransportAxis, CostFactorOrdersTransportsByDistanceFromTheCore) {
-  // local (direct neighbor read) < shm (one pack/unpack through a mapped
-  // ring) < unknown/network-class (mpi) < socket (kernel round trip per
-  // frame).  The tuner multiplies predicted halo seconds by this factor,
-  // so the ordering is what steers plan ranking.
+  // local (direct neighbor read) < network-class (mpi, and any unknown
+  // user-registered transport).  The tuner multiplies predicted halo
+  // seconds by this factor, so the ordering is what steers plan ranking.
   EXPECT_DOUBLE_EQ(tune::transport_cost_factor("local"), 1.0);
-  EXPECT_LT(tune::transport_cost_factor("local"), tune::transport_cost_factor("shm"));
-  EXPECT_LT(tune::transport_cost_factor("shm"), tune::transport_cost_factor("mpi"));
-  EXPECT_LT(tune::transport_cost_factor("mpi"), tune::transport_cost_factor("socket"));
+  EXPECT_LT(tune::transport_cost_factor("local"), tune::transport_cost_factor("mpi"));
+  EXPECT_DOUBLE_EQ(tune::transport_cost_factor("mpi"),
+                   tune::transport_cost_factor("user-registered"));
 }
 
 TEST(TransportAxis, PlanCarriesTransportThroughSpecAndParams) {
@@ -122,17 +121,17 @@ TEST(TransportAxis, PlanCarriesTransportThroughSpecAndParams) {
   cfg.grid = {16, 16, 64};
   cfg.machine = models::haswell18();
   cfg.timed_refinement = false;
-  cfg.transport = "shm";
+  cfg.transport = "mpi";
   const ShardedTuneResult r = tune::autotune_sharded(cfg);
   ASSERT_FALSE(r.ranked.empty());
   bool saw_multi = false;
   for (const tune::ShardedCandidate& c : r.ranked) {
     if (c.plan.num_shards <= 1) continue;
     saw_multi = true;
-    EXPECT_EQ(c.plan.transport, "shm");
-    EXPECT_NE(c.plan.describe().find("transport=shm"), std::string::npos);
-    EXPECT_EQ(c.plan.to_spec().scalar("transport").value_or(""), "shm");
-    EXPECT_EQ(tune::to_sharded_params(c.plan).transport, "shm");
+    EXPECT_EQ(c.plan.transport, "mpi");
+    EXPECT_NE(c.plan.describe().find("transport=mpi"), std::string::npos);
+    EXPECT_EQ(c.plan.to_spec().scalar("transport").value_or(""), "mpi");
+    EXPECT_EQ(tune::to_sharded_params(c.plan).transport, "mpi");
   }
   EXPECT_TRUE(saw_multi);
 }
