@@ -1,5 +1,9 @@
 #!/usr/bin/env python3
-"""Gate the shard-scaling smoke CSV written by bench_shard_scaling --csv.
+"""Gate the shard-scaling smoke CSVs written by bench_shard_scaling --csv.
+
+Takes one CSV per repeat of the same bench command.  The redundant-LUP,
+transport and wall-time checks apply to every CSV; the exposed-halo ratio
+is gated on its median over the CSVs (see 2b).
 
 Two families of checks:
 
@@ -17,7 +21,10 @@ Two families of checks:
    twins beyond --max-slower-pct (scheduling noise allowance), and (b) show
    a strictly lower AGGREGATE exposed-halo time (wait + copy - hidden,
    summed over the gated rows) — the whole point of the protocol is
-   shrinking the exchange stall on the critical path.
+   shrinking the exchange stall on the critical path.  One run's ratio
+   swings from about 0.96 to 1.6 on a 4-vCPU VM with unchanged code, so the
+   gate takes the median ratio of the repeats: a single noisy run can
+   neither fail nor pass it on its own.
 
    The wall-time gate skips rows with shards x threads/shard beyond
    --gate-max-threads: those points deliberately oversubscribe the bench's
@@ -31,6 +38,7 @@ Two families of checks:
 """
 import argparse
 import csv
+import statistics
 import sys
 
 
@@ -57,7 +65,10 @@ def check_redundant(rows, shards, max_redundant_pct):
     return True
 
 
-def check_overlap(rows, max_slower_pct, max_exposed_ratio, gate_max_threads):
+def check_overlap(rows, max_slower_pct, gate_max_threads):
+    """Wall-time gate for one CSV; returns (ok, aggregate exposed ratio).
+
+    The ratio is None when the CSV has no complete twin pair."""
     # The bench emits a barrier row once per (inner, K) — staging only
     # happens in overlap mode, so barrier rows are transport-independent —
     # and one overlap row per (inner, K, transport).  Every overlap row is
@@ -75,7 +86,7 @@ def check_overlap(rows, max_slower_pct, max_exposed_ratio, gate_max_threads):
 
     if not barriers and not overlaps:
         print("FAIL: no multi-shard rows to compare", file=sys.stderr)
-        return False
+        return False, None
 
     exposed_barrier = 0.0
     exposed_overlap = 0.0
@@ -113,22 +124,31 @@ def check_overlap(rows, max_slower_pct, max_exposed_ratio, gate_max_threads):
 
     if not compared:
         print("FAIL: no complete twin pairs to compare", file=sys.stderr)
-        return False
+        return False, None
     ratio = exposed_overlap / exposed_barrier if exposed_barrier > 0 else 1.0
     print(
         f"aggregate exposed halo over {compared} pair(s): "
         f"barrier={exposed_barrier:.4f}s overlap={exposed_overlap:.4f}s "
-        f"ratio={ratio:.3f} (threshold {max_exposed_ratio})"
+        f"ratio={ratio:.3f}"
     )
-    if ratio >= max_exposed_ratio:
+    return ok, ratio
+
+
+def check_exposed_median(ratios, max_exposed_ratio):
+    median = statistics.median(ratios)
+    listed = ", ".join(f"{r:.3f}" for r in ratios)
+    print(
+        f"median exposed-halo ratio over {len(ratios)} run(s): {median:.3f} "
+        f"(runs: {listed}; threshold {max_exposed_ratio})"
+    )
+    if median >= max_exposed_ratio:
         print(
             "FAIL: overlapped exchange did not lower the aggregate exposed-halo time",
             file=sys.stderr,
         )
-        ok = False
-    if ok:
-        print("OK: overlap gates passed")
-    return ok
+        return False
+    print("OK: overlap gates passed")
+    return True
 
 
 def check_transport(rows, name):
@@ -169,7 +189,11 @@ def check_transport(rows, name):
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("csv_path", help="CSV written by bench_shard_scaling --csv")
+    ap.add_argument(
+        "csv_paths",
+        nargs="+",
+        help="CSVs written by bench_shard_scaling --csv, one per repeat of the same command",
+    )
     ap.add_argument("--shards", type=int, default=2, help="shard-count rows to check")
     ap.add_argument("--max-redundant-pct", type=float, default=10.0)
     ap.add_argument(
@@ -187,7 +211,8 @@ def main() -> int:
         "--max-exposed-ratio",
         type=float,
         default=1.0,
-        help="aggregate exposed-halo(overlap)/exposed-halo(barrier) must stay below this",
+        help="median over the CSVs of the aggregate exposed-halo(overlap)/"
+        "exposed-halo(barrier) ratio must stay below this",
     )
     ap.add_argument(
         "--require-transport",
@@ -206,19 +231,24 @@ def main() -> int:
     )
     args = ap.parse_args()
 
-    with open(args.csv_path, newline="") as f:
-        rows = list(csv.DictReader(f))
-
-    ok = check_redundant(rows, args.shards, args.max_redundant_pct)
-    if args.require_transport:
-        ok = check_transport(rows, args.require_transport) and ok
-    if args.check_overlap:
-        ok = (
-            check_overlap(
-                rows, args.max_slower_pct, args.max_exposed_ratio, args.gate_max_threads
-            )
-            and ok
-        )
+    ok = True
+    ratios = []
+    for path in args.csv_paths:
+        print(f"== {path}")
+        with open(path, newline="") as f:
+            rows = list(csv.DictReader(f))
+        ok = check_redundant(rows, args.shards, args.max_redundant_pct) and ok
+        if args.require_transport:
+            ok = check_transport(rows, args.require_transport) and ok
+        if args.check_overlap:
+            wall_ok, ratio = check_overlap(rows, args.max_slower_pct, args.gate_max_threads)
+            ok = wall_ok and ok
+            if ratio is None:
+                ok = False
+            else:
+                ratios.append(ratio)
+    if args.check_overlap and ratios:
+        ok = check_exposed_median(ratios, args.max_exposed_ratio) and ok
     return 0 if ok else 1
 
 

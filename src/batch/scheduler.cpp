@@ -451,6 +451,10 @@ Scheduler::RunOutcome Scheduler::run_attempt(Job& job, std::size_t seq, int slot
     const bool want_ckpt = control.can_checkpoint;
     std::unique_ptr<io::SnapshotWriter> writer;
     int local_snapshots = 0;
+    // Next step count due a periodic snapshot.  Declared at this scope, not
+    // inside the hook set-up below: the hook captures it by reference and
+    // runs later, inside sim.run().
+    int next_ckpt = 0;
     bool preempt_hit = false;
     int hook_every = 0;
     if (want_ckpt) hook_every = job.checkpoint_every;
@@ -465,9 +469,9 @@ Scheduler::RunOutcome Scheduler::run_attempt(Job& job, std::size_t seq, int slot
     }
     if (hook_every > 0 && job.converge_tol == 0.0) {
       if (want_ckpt) writer = std::make_unique<io::SnapshotWriter>(sim.fields().layout());
-      int next_ckpt = want_ckpt ? ((sim.steps_done() / job.checkpoint_every) + 1) *
-                                      job.checkpoint_every
-                                : 0;
+      if (want_ckpt) {
+        next_ckpt = ((sim.steps_done() / job.checkpoint_every) + 1) * job.checkpoint_every;
+      }
       sim.set_step_hook(hook_every, [&](int steps_done) {
         check_deadline();
         bool snap = false;

@@ -12,6 +12,7 @@
 #include "dist/partition.hpp"
 #include "exec/thread_pool.hpp"
 #include "grid/fieldset.hpp"
+#include "obs/trace.hpp"
 #include "util/affinity.hpp"
 #include "util/barrier.hpp"
 #include "util/timer.hpp"
@@ -91,7 +92,15 @@ class ShardedEngine final : public PreparableEngine {
     auto st = std::make_unique<PreparedState>();
     st->extents = e;
     const int K = Partitioner::clamp_shards(e.nz, p_.num_shards, p_.exchange_interval);
-    const int overlap = (K > 1) ? p_.exchange_interval : 1;
+    if (K == 1) {
+      // One shard is the whole grid: its inner engine runs in place on the
+      // caller's FieldSet (see run_in_place), so there is nothing to
+      // partition, allocate, bind or exchange.
+      st->inners.push_back(make_inner(0, p_.threads_per_shard));
+      prepared_ = std::move(st);
+      return;
+    }
+    const int overlap = p_.exchange_interval;
     st->part = std::make_unique<Partitioner>(e, K, overlap);
     st->topo = p_.numa_bind ? NumaTopology::detect() : NumaTopology::single_node(p_.threads());
     st->sets.resize(static_cast<std::size_t>(K));
@@ -116,7 +125,7 @@ class ShardedEngine final : public PreparableEngine {
     // engine gates its boundary tiles on it while workers park on the tile
     // queue; engines that do not (wrapper/test inners) get the wait run
     // inline by the shard thread instead (see run()).
-    if (p_.overlap && K > 1) {
+    if (p_.overlap) {
       st->flows.resize(static_cast<std::size_t>(K));
       HaloExchange* halo = st->halo.get();
       for (int s = 0; s < K; ++s) {
@@ -137,9 +146,13 @@ class ShardedEngine final : public PreparableEngine {
     const grid::Layout& L = fs.layout();
     prepare(L.interior());
     PreparedState& st = *prepared_;
+    if (!st.part) {
+      run_in_place(*st.inners.front(), fs, steps);
+      return;
+    }
     const Partitioner& part = *st.part;
     const int K = part.num_shards();
-    const bool overlapped = p_.overlap && K > 1;
+    const bool overlapped = p_.overlap;
 
     std::vector<exec::EngineStats> shard_work(static_cast<std::size_t>(K));
     util::SpinBarrier barrier(K);
@@ -175,6 +188,7 @@ class ShardedEngine final : public PreparableEngine {
       exec::EngineStats& work = shard_work[static_cast<std::size_t>(s)];
 
       try {
+        OBS_SPAN("shard.scatter", s);
         part.scatter(fs, local, s);
       } catch (...) {
         record_failure();
@@ -193,7 +207,10 @@ class ShardedEngine final : public PreparableEngine {
       }
 
       // Owned plane ranges are disjoint, so shards gather concurrently.
-      if (!failed.load(std::memory_order_acquire)) part.gather(local, fs, s);
+      if (!failed.load(std::memory_order_acquire)) {
+        OBS_SPAN("shard.gather", s);
+        part.gather(local, fs, s);
+      }
     });
     const double seconds = timer.seconds();
 
@@ -226,6 +243,18 @@ class ShardedEngine final : public PreparableEngine {
 
  private:
   struct PreparedState;
+
+  /// Single-shard run: the inner engine advances the caller's FieldSet in
+  /// one call.  No scatter/gather copies, and no exchange rounds that would
+  /// cap a temporally blocked inner at exchange_interval steps per call.
+  /// An inner exception propagates unchanged (stats() is cleared first).
+  void run_in_place(exec::Engine& inner, grid::FieldSet& fs, int steps) {
+    stats_ = exec::EngineStats{};
+    inner.run(fs, steps);
+    stats_ = inner.stats();
+    stats_.shards = 1;
+    stats_.halo_transport = p_.transport;
+  }
 
   /// Per-shard state of the overlapped protocol: which round's exchange the
   /// inner engine's prologue must acquire before computing (0 = none, i.e.
@@ -345,6 +374,8 @@ class ShardedEngine final : public PreparableEngine {
   }
 
   /// Layout-dependent state reused across run() calls (see PreparableEngine).
+  /// A single-shard plan holds only its one inner engine: `part`, `sets`
+  /// and `halo` stay empty.
   struct PreparedState {
     grid::Extents extents{};
     std::unique_ptr<Partitioner> part;

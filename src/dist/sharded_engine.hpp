@@ -11,6 +11,10 @@
 // Results are bit-identical to the same inner engine on the undecomposed
 // grid; the gain is multi-socket memory locality and, for thin or very
 // deep domains, independent per-shard tiling.
+//
+// One shard (pinned, or K clamped to 1) is the inner engine run in place:
+// no shard FieldSet, no scatter/gather copies, no exchange rounds, and
+// numa_bind has nothing to bind (the caller allocated the fields).
 #pragma once
 
 #include <functional>
@@ -36,7 +40,7 @@ struct ShardedParams {
   int exchange_interval = 1; // steps between halo exchanges == overlap depth
   InnerKind inner = InnerKind::Naive;
   int threads_per_shard = 1;
-  bool numa_bind = true;     // pin shard teams to NUMA nodes (no-op on 1 node)
+  bool numa_bind = true;     // pin shard teams to NUMA nodes (no-op on 1 node or K = 1)
   /// Overlapped exchange: replace the two full-stop barriers of each
   /// exchange round with the pairwise post/wait protocol (see halo.hpp and
   /// src/dist/README.md) — a shard publishes its boundary planes the moment
@@ -73,6 +77,8 @@ struct ShardedParams {
 /// has the same interior extents, paying only the scatter/step/gather cost.
 /// That makes back-to-back timed runs (auto-tuner refinement, benches) cheap:
 /// the 40-array shard allocations happen once, not once per repetition.
+/// For a single (clamped) shard the cached state is the inner engine alone:
+/// run() advances the caller's FieldSet in place, with nothing to copy.
 /// run() prepares on demand, so calling prepare() explicitly is optional.
 class PreparableEngine : public exec::Engine {
  public:
@@ -88,6 +94,8 @@ class PreparableEngine : public exec::Engine {
 /// redundant ghost-plane updates), while `mlups` is useful throughput —
 /// global interior cells * steps / wall seconds.  `shards`,
 /// `halo_exchange_seconds` and `halo_bytes_moved` describe the exchange.
+/// With one shard, stats() is the inner engine's (shards = 1, no halo
+/// traffic) and an inner exception propagates directly.
 /// If an inner engine throws in any shard, the remaining shards drain their
 /// barrier schedule and finish the run as a no-op; the first exception is
 /// rethrown on the caller after every shard thread has joined (the global

@@ -64,8 +64,10 @@ class FieldSet {
   /// Field::copy_z_planes_from for plane semantics; layouts may differ in nz.
   void copy_field_planes_from(const FieldSet& src, int k_src, int k_dst, int count);
 
-  /// Same plane copy for the 28 static arrays (24 coefficients + 4 sources);
-  /// used once at shard setup.
+  /// Same plane copy for the 28 static arrays (24 coefficients + 4 sources).
+  /// Partitioner::scatter calls it on every multi-shard run(): a prepared
+  /// sharded engine may be handed a FieldSet with the same extents but a
+  /// different scene, so its statics cannot be copied only once.
   void copy_static_planes_from(const FieldSet& src, int k_src, int k_dst, int count);
 
   /// Max abs elementwise difference over all 12 field arrays.

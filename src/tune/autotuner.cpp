@@ -96,6 +96,11 @@ ShardedCandidate score_sharded_candidate(int num_shards, int exchange_interval,
   const dist::Partitioner part(cfg.grid, num_shards,
                                num_shards > 1 ? exchange_interval : 1);
 
+  // The shards stream concurrently from one memory system, so each is tuned
+  // and priced against its share of the bandwidth.
+  models::Machine shard_machine = cfg.machine;
+  shard_machine.bandwidth_bytes_per_s /= num_shards;
+
   // Tune each shard against its REAL extended sub-grid.  A balanced split
   // yields at most a handful of distinct extended heights (remainder blocks,
   // one- vs two-sided ghosts), so memoize the per-height tuning.
@@ -109,11 +114,26 @@ ShardedCandidate score_sharded_candidate(int num_shards, int exchange_interval,
       TuneConfig sub;
       sub.threads = tps;
       sub.grid = {cfg.grid.nx, cfg.grid.ny, ext_nz};
-      sub.machine = cfg.machine;
+      sub.machine = shard_machine;
       sub.limits = cfg.limits;
       sub.timed_refinement = false;
       const TuneResult r = autotune(sub);
-      it = by_height.emplace(ext_nz, std::make_pair(r.best_candidate, r.best)).first;
+      Candidate best = r.best_candidate;
+      if (num_shards > 1) {
+        // Round-length cap: the inner engine advances T steps per call, so
+        // a diamond reuses a cell over at most T steps: Eq. 12 at
+        // min(dw, T), capped at Eq. 8's streaming balance.
+        const double floor_bpl =
+            std::min(models::naive_bytes_per_lup(),
+                     models::diamond_bytes_per_lup(std::min(best.params.dw, exchange_interval)));
+        if (best.model_bpl < floor_bpl) {
+          best.model_bpl = floor_bpl;
+          best.predicted_mlups =
+              models::predict(shard_machine, best.params.threads(), floor_bpl, /*tiled=*/true)
+                  .mlups;
+        }
+      }
+      it = by_height.emplace(ext_nz, std::make_pair(best, r.best)).first;
     }
     c.per_shard.push_back(it->second.first);
     c.plan.per_shard.push_back(it->second.second);

@@ -694,6 +694,173 @@ TEST(ShardedFailure, ThrowingInnerFactoryPropagatesFromPrepare) {
   EXPECT_THROW(engine->prepare({5, 5, 12}), std::runtime_error);
 }
 
+// ------------------------------------------------- single-shard plans
+
+namespace single_shard {
+
+/// Inner engine that records what the sharded wrapper hands it.
+class RecordingEngine final : public exec::Engine {
+ public:
+  explicit RecordingEngine(int threads) : real_(exec::make_naive_engine(threads)) {}
+
+  std::string name() const override { return "recording"; }
+  int threads() const override { return real_->threads(); }
+  void run(grid::FieldSet& fs, int steps) override {
+    seen.push_back(&fs);
+    steps_per_call.push_back(steps);
+    real_->run(fs, steps);
+    stats_ = real_->stats();
+  }
+
+  std::vector<const grid::FieldSet*> seen;
+  std::vector<int> steps_per_call;
+
+ private:
+  std::unique_ptr<exec::Engine> real_;
+};
+
+/// The step counts at which an engine's hook fires during run_hooked, and
+/// the steps it advanced; the hook stops the run once `stop_at` is reached.
+std::pair<std::vector<int>, int> hooked_run(exec::Engine& engine, FieldSet& fs, int steps,
+                                            int every, int stop_at) {
+  std::vector<int> fired;
+  engine.set_step_hook(every, [&](int done) {
+    fired.push_back(done);
+    return done < stop_at;
+  });
+  const int advanced = engine.run_hooked(fs, steps);
+  engine.set_step_hook(0, nullptr);
+  return {fired, advanced};
+}
+
+}  // namespace single_shard
+
+TEST(ShardedSingle, OneShardRunsItsInnerEngineInPlace) {
+  // Pinned K=1 and K clamped to 1 on a grid thinner than the overlap depth:
+  // both must be the inner engine itself, bit for bit, with no exchange.
+  exec::MwdParams mwd;
+  mwd.dw = 4;
+  mwd.num_tgs = 2;
+  struct Case {
+    int shards, interval;
+    Extents grid;
+  };
+  for (const Case& c : {Case{1, 1, {6, 8, 12}}, Case{4, 2, {6, 8, 3}}}) {
+    dist::ShardedParams p;
+    p.num_shards = c.shards;
+    p.exchange_interval = c.interval;
+    p.inner = dist::InnerKind::Mwd;
+    p.threads_per_shard = 2;
+    p.mwd = mwd;
+    p.overlap = true;
+    const Layout layout(c.grid);
+    FieldSet reference(layout), inner_fs(layout), fs(layout);
+    for (FieldSet* f : {&reference, &inner_fs, &fs}) em::build_random_stable(*f, 83);
+
+    kernels::reference_step(reference, 5);
+    auto inner = exec::make_mwd_engine(mwd);
+    inner->run(inner_fs, 5);
+    auto engine = dist::make_sharded_engine(p);
+    engine->run(fs, 5);
+    EXPECT_EQ(FieldSet::max_field_diff(fs, inner_fs), 0.0) << "K=" << c.shards;
+    EXPECT_EQ(FieldSet::max_field_diff(fs, reference), 0.0) << "K=" << c.shards;
+    const exec::EngineStats& st = engine->stats();
+    EXPECT_EQ(st.shards, 1);
+    EXPECT_EQ(st.steps, 5);
+    EXPECT_EQ(st.lups, inner->stats().lups);
+    EXPECT_EQ(st.halo_bytes_moved, 0);
+    EXPECT_EQ(st.halo_exchange_seconds, 0.0);
+    EXPECT_FALSE(st.halo_overlapped);
+    EXPECT_EQ(st.halo_transport, "local");
+  }
+}
+
+TEST(ShardedSingle, InnerSeesTheCallersFieldSetOnceForAllSteps) {
+  // No shard copy and no exchange_interval-step rounds: one inner run() on
+  // the caller's own FieldSet, so a temporally blocked inner keeps its reuse.
+  single_shard::RecordingEngine* rec = nullptr;
+  dist::ShardedParams p;
+  p.num_shards = 1;
+  p.exchange_interval = 1;
+  p.inner_factory = [&rec](int, int threads) -> std::unique_ptr<exec::Engine> {
+    auto e = std::make_unique<single_shard::RecordingEngine>(threads);
+    rec = e.get();
+    return e;
+  };
+  const Layout layout({5, 6, 10});
+  FieldSet fs(layout);
+  em::build_random_stable(fs, 87);
+  auto engine = dist::make_sharded_engine(p);
+  engine->run(fs, 7);
+  ASSERT_NE(rec, nullptr);
+  EXPECT_EQ(rec->seen, (std::vector<const FieldSet*>{&fs}));
+  EXPECT_EQ(rec->steps_per_call, (std::vector<int>{7}));
+}
+
+TEST(ShardedSingle, StepHooksFireAtTheInnerEnginesStepCounts) {
+  const Layout layout({5, 6, 10});
+  dist::ShardedParams p;
+  p.num_shards = 1;
+  p.inner = dist::InnerKind::Naive;
+  for (int stop_at : {100, 4}) {  // run to the end; stop early at step 4
+    FieldSet inner_fs(layout), fs(layout);
+    em::build_random_stable(inner_fs, 89);
+    em::build_random_stable(fs, 89);
+    auto inner = exec::make_naive_engine(1);
+    auto engine = dist::make_sharded_engine(p);
+    const auto want = single_shard::hooked_run(*inner, inner_fs, 7, 2, stop_at);
+    const auto got = single_shard::hooked_run(*engine, fs, 7, 2, stop_at);
+    EXPECT_EQ(got.first, want.first) << "stop_at=" << stop_at;
+    EXPECT_EQ(got.second, want.second) << "stop_at=" << stop_at;
+    EXPECT_EQ(FieldSet::max_field_diff(fs, inner_fs), 0.0) << "stop_at=" << stop_at;
+    EXPECT_EQ(engine->stats().steps, want.second);
+  }
+}
+
+TEST(ShardedSingle, InnerEngineExceptionPropagates) {
+  dist::ShardedParams p;
+  p.num_shards = 1;
+  p.inner_factory = [](int, int threads) -> std::unique_ptr<exec::Engine> {
+    return std::make_unique<failure::FlakyEngine>(threads, 1);
+  };
+  const Layout layout({5, 5, 8});
+  FieldSet fs(layout);
+  em::build_random_stable(fs, 91);
+  auto engine = dist::make_sharded_engine(p);
+  engine->run(fs, 3);  // the one good run
+  EXPECT_EQ(engine->stats().steps, 3);
+  EXPECT_THROW(engine->run(fs, 3), std::runtime_error);
+  EXPECT_EQ(engine->stats().steps, 0);  // a failed run leaves no stale stats
+}
+
+// ------------------------------------------- scene changes between runs
+
+TEST(ShardedPrepare, NewCoefficientsOnTheSameExtentsAreHonoured) {
+  // A prepared multi-shard engine is reused across FieldSets of the same
+  // extents but different scenes (batch::EnginePool keys engines by spec
+  // and extents).  Only coefficients and sources differ between the two
+  // FieldSets here, so keeping the first scene's statics resident in the
+  // shards would fail the second comparison.
+  const Layout layout({5, 6, 12});
+  dist::ShardedParams p;
+  p.num_shards = 2;
+  p.inner = dist::InnerKind::Naive;
+  auto engine = dist::make_sharded_engine(p);
+
+  FieldSet first(layout);
+  em::build_random_stable(first, 101);
+  engine->run(first, 3);
+
+  FieldSet second(layout), reference(layout);
+  em::build_random_stable(second, 103);
+  second.copy_fields_from(first);  // same field state, other coefficients
+  em::build_random_stable(reference, 103);
+  reference.copy_fields_from(first);
+  kernels::reference_step(reference, 3);
+  engine->run(second, 3);
+  EXPECT_EQ(FieldSet::max_field_diff(second, reference), 0.0);
+}
+
 // ------------------------------------------------------------ shard tuning
 
 TEST(ShardTuning, EnumerateShardCountsRespectsLimits) {

@@ -6,6 +6,7 @@
 // the undecomposed reference.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 
 #include "dist/partition.hpp"
@@ -15,6 +16,7 @@
 #include "exec/engine_spec.hpp"
 #include "grid/fieldset.hpp"
 #include "kernels/reference.hpp"
+#include "models/code_balance.hpp"
 #include "models/machine.hpp"
 #include "tune/autotuner.hpp"
 #include "tune/space.hpp"
@@ -171,6 +173,60 @@ TEST(ShardedScore, BuildsOnePlanEntryPerShard) {
   EXPECT_DOUBLE_EQ(c.redundant_lup_fraction, 4.0 / 40.0);
   EXPECT_GT(c.halo_bytes_per_step, 0.0);
   EXPECT_GT(c.predicted_mlups, 0.0);
+}
+
+/// models::host_machine() with its detected fields pinned, so the ranking
+/// below does not depend on the machine running the test.
+models::Machine pinned_host_machine() {
+  models::Machine m = models::host_machine();
+  m.cores = 4;
+  m.llc_bytes = 32ull << 20;
+  return m;
+}
+
+TEST(ShardedScore, OneNodeHostRanksASingleShardFirst) {
+  // A 4-core, one-node host with one core left to the caller: three shards
+  // share one memory system and cap MWD at T-step rounds, so the unsharded
+  // plan (which runs its inner MWD in place) must win the model.
+  ShardedTuneConfig cfg;
+  cfg.threads = 3;
+  cfg.grid = {128, 128, 192};
+  cfg.machine = pinned_host_machine();
+  cfg.timed_refinement = false;
+  const ShardedTuneResult r = tune::autotune_sharded(cfg);
+  EXPECT_EQ(r.best.plan.num_shards, 1) << exec::to_string(r.best.plan.to_spec());
+  ASSERT_EQ(r.best.plan.per_shard.size(), 1u);
+  EXPECT_EQ(r.best.plan.per_shard.front().threads(), 3);
+}
+
+TEST(ShardedScore, ShortRoundsAndSharedBandwidthArePriced) {
+  ShardedTuneConfig cfg;
+  cfg.threads = 3;
+  cfg.grid = {128, 128, 192};
+  cfg.machine = pinned_host_machine();
+  // One-step rounds give a diamond no temporal reuse: every shard streams
+  // at least diamond_bytes_per_lup(1), capped at Eq. 8's naive balance.
+  const double floor1 =
+      std::min(models::diamond_bytes_per_lup(1), models::naive_bytes_per_lup());
+  const tune::ShardedCandidate t1 = tune::score_sharded_candidate(3, 1, cfg);
+  ASSERT_EQ(t1.per_shard.size(), 3u);
+  for (const tune::Candidate& c : t1.per_shard) {
+    EXPECT_GE(c.model_bpl, floor1);
+    // ...against a third of the bandwidth: the memory roof of one shard.
+    EXPECT_LE(c.predicted_mlups,
+              models::pmem_mlups(cfg.machine.bandwidth_bytes_per_s / 3, c.model_bpl) * 1.000001);
+  }
+  // Longer rounds buy reuse back, down to diamond_bytes_per_lup(T).
+  const tune::ShardedCandidate t3 = tune::score_sharded_candidate(3, 3, cfg);
+  for (const tune::Candidate& c : t3.per_shard) {
+    EXPECT_GE(c.model_bpl, models::diamond_bytes_per_lup(3));
+    EXPECT_LT(c.model_bpl, floor1);
+  }
+  EXPECT_GT(t3.predicted_mlups, t1.predicted_mlups);
+  // A single shard is not capped: it runs its inner engine in place.
+  const tune::ShardedCandidate one = tune::score_sharded_candidate(1, 1, cfg);
+  ASSERT_EQ(one.per_shard.size(), 1u);
+  EXPECT_LT(one.per_shard.front().model_bpl, floor1);
 }
 
 TEST(ShardedScore, UnevenShardsGetTheirOwnTiling) {
