@@ -18,10 +18,12 @@ uninterrupted run.  Sequence:
 
 Optionally (--bench), measures the overhead of asynchronous snapshot
 writing: bench_shard_scaling with --checkpoint-every at ~1/10 of the run
-vs. without.  Gated strictly on the engine-side capture stall
-(--max-capture-pct, default 5%) and leniently on total wall overhead
-(--max-overhead-pct), which also absorbs the background writer's CPU time
-on runners without a spare core.
+vs. without, BENCH_REPEATS (3) times.  Gated strictly on the
+median engine-side capture stall (--max-capture-pct, default 5%) and
+leniently on the median total wall overhead (--max-overhead-pct), which
+also absorbs the background writer's CPU time on runners without a spare
+core.  One pair's stall flips across the 5% bound on unchanged code on
+shared runners; the median of three does not.
 
 Exit code 0 = gate passed.
 """
@@ -33,6 +35,9 @@ import signal
 import subprocess
 import sys
 import time
+
+# Plain/checkpointed bench pairs per --bench run; the gates take the medians.
+BENCH_REPEATS = 3
 
 
 def sweep_args(exe, args, out_csv, ckpt_dir=None, resume=False):
@@ -90,7 +95,8 @@ def run_and_kill(cmd, ckpt_dir, log_path, min_ckpts, timeout_s):
 
 def gate_bench_overhead(args):
     """Run bench_shard_scaling with and without checkpointing at a cadence
-    of 1/10 of the run, then gate two numbers:
+    of 1/10 of the run, BENCH_REPEATS times, then gate the medians over
+    the repeats of two numbers:
 
       * capture stall / checkpointed wall < --max-capture-pct (strict):
         the engine-side cost of snapshotting — the memcpy into the staging
@@ -103,6 +109,7 @@ def gate_bench_overhead(args):
     """
     import csv as csvmod
     import re
+    import statistics
 
     def run_bench(csv_path, extra):
         cmd = [args.bench, "--nz=64", f"--steps={args.bench_steps}",
@@ -115,30 +122,40 @@ def gate_bench_overhead(args):
                 for r in rows}
 
     every = max(1, args.bench_steps // 10)
-    plain = run_bench("CKPT_bench_plain.csv", [])
-    ckpt = run_bench("CKPT_bench_ckpt.csv",
-                     [f"--checkpoint-every={every}",
-                      "--checkpoint-dir=" + args.workdir])
-    if set(plain) != set(ckpt):
-        sys.exit("FAIL: bench rows differ between plain and checkpointed runs")
-    total_plain = sum(plain.values())
-    total_ckpt = sum(ckpt.values())
-    overhead = 100.0 * (total_ckpt - total_plain) / total_plain
+    overheads, capture_pcts = [], []
+    for rep in range(1, BENCH_REPEATS + 1):
+        plain_csv = f"CKPT_bench_plain_{rep}.csv"
+        ckpt_csv = f"CKPT_bench_ckpt_{rep}.csv"
+        plain = run_bench(plain_csv, [])
+        ckpt = run_bench(ckpt_csv,
+                         [f"--checkpoint-every={every}",
+                          "--checkpoint-dir=" + args.workdir])
+        if set(plain) != set(ckpt):
+            sys.exit("FAIL: bench rows differ between plain and checkpointed runs")
+        total_plain = sum(plain.values())
+        total_ckpt = sum(ckpt.values())
+        overhead = 100.0 * (total_ckpt - total_plain) / total_plain
 
-    with open("CKPT_bench_ckpt.csv.log") as fh:
-        m = re.search(r"engine stalled ([0-9.eE+-]+) s in capture", fh.read())
-    if not m:
-        sys.exit("FAIL: checkpointed bench printed no capture-stall summary")
-    capture_pct = 100.0 * float(m.group(1)) / total_ckpt
+        with open(ckpt_csv + ".log") as fh:
+            m = re.search(r"engine stalled ([0-9.eE+-]+) s in capture", fh.read())
+        if not m:
+            sys.exit("FAIL: checkpointed bench printed no capture-stall summary")
+        capture_pct = 100.0 * float(m.group(1)) / total_ckpt
+        overheads.append(overhead)
+        capture_pcts.append(capture_pct)
+        print(f"repeat {rep}: {total_plain:.4f}s plain vs {total_ckpt:.4f}s "
+              f"checkpointed (every {every} of {args.bench_steps} steps) = "
+              f"{overhead:+.1f}% wall, {capture_pct:.1f}% engine capture stall")
 
-    print(f"checkpoint overhead: {total_plain:.4f}s plain vs {total_ckpt:.4f}s "
-          f"checkpointed (every {every} of {args.bench_steps} steps) = "
-          f"{overhead:+.1f}% wall, {capture_pct:.1f}% engine capture stall")
+    overhead = statistics.median(overheads)
+    capture_pct = statistics.median(capture_pcts)
+    print(f"checkpoint overhead, median of {BENCH_REPEATS}: {overhead:+.1f}% "
+          f"wall, {capture_pct:.1f}% engine capture stall")
     if capture_pct > args.max_capture_pct:
-        sys.exit(f"FAIL: engine capture stall {capture_pct:.1f}% exceeds "
+        sys.exit(f"FAIL: median engine capture stall {capture_pct:.1f}% exceeds "
                  f"{args.max_capture_pct}%")
     if overhead > args.max_overhead_pct:
-        sys.exit(f"FAIL: snapshot overhead {overhead:.1f}% exceeds "
+        sys.exit(f"FAIL: median snapshot overhead {overhead:.1f}% exceeds "
                  f"{args.max_overhead_pct}%")
 
 

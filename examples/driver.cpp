@@ -60,6 +60,18 @@ int main(int argc, char** argv) {
   cfg.wavelength_cells = cli.get_double("wavelength", 20.0);
   cfg.pml.thickness = static_cast<int>(cli.get_int("pml", 6));
   cfg.threads = static_cast<int>(cli.get_int("threads", 2));
+  if (cfg.pml.thickness < 0) {
+    std::fprintf(stderr, "bad --pml, expected a thickness >= 0\n");
+    return 1;
+  }
+  // The plane wave goes in below the upper PML shell, at nz - pml - 2.
+  if (cfg.grid.nz < cfg.pml.thickness + 2) {
+    std::fprintf(stderr,
+                 "grid too thin: nz = %d leaves no source plane below a %d-cell PML "
+                 "(need nz >= pml + 2)\n",
+                 cfg.grid.nz, cfg.pml.thickness);
+    return 1;
+  }
   if (cli.get_bool("periodic-x", false)) cfg.x_boundary = grid::XBoundary::Periodic;
 
   // Parse eagerly so a typo'd spec fails with a parse position instead of

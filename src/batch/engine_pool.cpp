@@ -157,7 +157,9 @@ EnginePool::FieldsLease EnginePool::acquire_fields(const grid::Extents& e) {
     }
     ++stats_.fields_builds;
   }
-  lease.fields = std::make_unique<grid::FieldSet>(grid::Layout(e));
+  // Unwritten: the borrowing Simulation zeroes every set it takes, so a
+  // fresh set is zeroed once, by the job's threads.
+  lease.fields = std::make_unique<grid::FieldSet>(grid::Layout(e), grid::kUninitialized);
   return lease;
 }
 

@@ -16,8 +16,9 @@
 // one key block on the first resolver instead of tuning twice.
 //
 // Results are unaffected: a leased engine runs the same deterministic
-// kernels, and recycled FieldSets are clear_all()-ed on borrow (see
-// thiim::BorrowedState), so pooled and unpooled execution are bit-exact.
+// kernels, and every pooled FieldSet, fresh (allocated unwritten) or
+// recycled, is clear_all()-ed on borrow (see thiim::BorrowedState), so
+// pooled and unpooled execution are bit-exact.
 #pragma once
 
 #include <cstdint>
@@ -107,7 +108,8 @@ class EnginePool {
   void release_engine(EngineLease&& lease);
 
   /// Fetch (or allocate) a FieldSet with interior extents `e`.  Recycled
-  /// sets carry stale data; thiim::Simulation clear_all()s borrowed sets.
+  /// sets carry stale data and fresh ones are allocated unwritten;
+  /// thiim::Simulation clear_all()s every borrowed set.
   FieldsLease acquire_fields(const grid::Extents& e);
   void release_fields(FieldsLease&& lease);
 

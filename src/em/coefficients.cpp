@@ -1,7 +1,12 @@
 #include "em/coefficients.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
+#include <stdexcept>
+#include <vector>
 
+#include "exec/thread_pool.hpp"
 #include "util/rng.hpp"
 
 namespace emwd::em {
@@ -19,6 +24,10 @@ int axis_position(kernels::Axis axis, int i, int j, int k) {
     default:
       return k;
   }
+}
+
+int axis_extent(const grid::Layout& L, kernels::Axis axis) {
+  return axis_position(axis, L.nx(), L.ny(), L.nz());
 }
 }  // namespace
 
@@ -66,25 +75,57 @@ CoeffPair compute_coeffs(const kernels::CompInfo& comp, const Material& m,
 }
 
 void build_coefficients(grid::FieldSet& fs, const MaterialGrid& mats,
-                        const PmlProfiles& pml, const ThiimParams& p) {
+                        const PmlProfiles& pml, const ThiimParams& p, int threads) {
   const grid::Layout& L = fs.layout();
+  if (!(mats.layout().interior() == L.interior())) {
+    throw std::invalid_argument("build_coefficients: material map extents differ");
+  }
+  // A cell's pair depends only on its palette id and its position along the
+  // component's derivative axis: tabulate compute_coeffs once per (id, pos)
+  // and make the cell loop a lookup.  Same inputs, same bits.
+  const int ids = static_cast<int>(mats.palette_size());
+  std::array<std::vector<CoeffPair>, kernels::kNumComps> table;
   for (const auto& comp : kernels::kComps) {
-    grid::Field& t = fs.coeff_t(comp.self);
-    grid::Field& c = fs.coeff_c(comp.self);
-    for (int k = 0; k < L.nz(); ++k) {
-      for (int j = 0; j < L.ny(); ++j) {
-        for (int i = 0; i < L.nx(); ++i) {
-          const Material& m = mats.at(i, j, k);
-          const int pos = axis_position(comp.axis, i, j, k);
-          const CoeffPair cc = compute_coeffs(comp, m, pml.sigma(comp.axis, pos),
-                                              pml.sigma_star(comp.axis, pos), p);
-          t.set(i, j, k, cc.t);
-          c.set(i, j, k, cc.c);
-        }
+    const int extent = axis_extent(L, comp.axis);
+    std::vector<CoeffPair>& tab = table[kernels::idx(comp.self)];
+    tab.resize(static_cast<std::size_t>(ids) * static_cast<std::size_t>(extent));
+    for (int id = 0; id < ids; ++id) {
+      const Material& m = mats.material(static_cast<std::uint8_t>(id));
+      for (int pos = 0; pos < extent; ++pos) {
+        tab[static_cast<std::size_t>(id) * extent + pos] = compute_coeffs(
+            comp, m, pml.sigma(comp.axis, pos), pml.sigma_star(comp.axis, pos), p);
       }
     }
   }
-  for (int s = 0; s < kernels::kNumSources; ++s) fs.source(s).clear();
+
+  const int nz = L.nz();
+  const int parts = std::clamp(threads, 1, nz);
+  exec::ThreadTeam::run(parts, [&](int r) {
+    const exec::Chunk zc = exec::split_range(nz, parts, r);
+    for (const auto& comp : kernels::kComps) {
+      const int extent = axis_extent(L, comp.axis);
+      const CoeffPair* tab = table[kernels::idx(comp.self)].data();
+      // Entry (id, pos) sits at id * extent + pos; pos is i, j or k.
+      const int di = comp.axis == kernels::Axis::X ? 1 : 0;
+      double* t = fs.coeff_t(comp.self).data();
+      double* c = fs.coeff_c(comp.self).data();
+      for (int k = zc.begin; k < zc.end; ++k) {
+        for (int j = 0; j < L.ny(); ++j) {
+          const CoeffPair* row = tab + axis_position(comp.axis, 0, j, k);
+          const std::uint8_t* id = mats.ids_row(j, k);
+          const std::size_t base = 2 * L.at(0, j, k);
+          for (int i = 0; i < L.nx(); ++i) {
+            const CoeffPair& e = row[static_cast<std::size_t>(id[i]) * extent + di * i];
+            const std::size_t q = base + 2 * static_cast<std::size_t>(i);
+            t[q] = e.t.real();
+            t[q + 1] = e.t.imag();
+            c[q] = e.c.real();
+            c[q + 1] = e.c.imag();
+          }
+        }
+      }
+    }
+  });
 }
 
 void build_uniform_coefficients(grid::FieldSet& fs, const Material& m,

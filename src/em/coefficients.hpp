@@ -50,10 +50,19 @@ struct CoeffPair {
 CoeffPair compute_coeffs(const kernels::CompInfo& comp, const Material& m,
                          double sigma_pml, double sigma_star_pml, const ThiimParams& p);
 
-/// Fill all 24 t/c arrays of `fs` from the material map and PML profiles.
-/// Source arrays are zeroed; add sources afterwards (em/source.hpp).
+/// Fill the interior of all 24 t/c arrays of `fs` from the material map and
+/// PML profiles.  The build is tabulated: compute_coeffs runs once per
+/// (component, palette id, position along the component's derivative axis),
+/// and the cell loop only looks pairs up, bit-identical to calling
+/// compute_coeffs per cell.  The lookup runs over the z-slab split of
+/// FieldSet::clear_all on `threads` threads (threads == 1 starts no
+/// thread).  It clears nothing: fields, sources and the coefficient halos
+/// are left as they are, so on storage that is not fresh, clear fields and
+/// sources too (Simulation::finalize does) and add sources afterwards
+/// (em/source.hpp).  Throws std::invalid_argument when `mats` has other
+/// extents than `fs`.
 void build_coefficients(grid::FieldSet& fs, const MaterialGrid& mats,
-                        const PmlProfiles& pml, const ThiimParams& p);
+                        const PmlProfiles& pml, const ThiimParams& p, int threads = 1);
 
 /// Uniform-material fast path (benchmarking: same arithmetic, no geometry).
 void build_uniform_coefficients(grid::FieldSet& fs, const Material& m,

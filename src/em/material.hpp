@@ -52,6 +52,10 @@ class MaterialGrid {
 
   void set(int i, int j, int k, std::uint8_t id);
   std::uint8_t id_at(int i, int j, int k) const;
+  /// Palette ids of interior row (j, k): ids_row(j, k)[i] == id_at(i, j, k).
+  const std::uint8_t* ids_row(int j, int k) const {
+    return ids_.data() + layout_.at(0, j, k);
+  }
   const Material& at(int i, int j, int k) const;
   const Material& material(std::uint8_t id) const { return palette_.at(id); }
   std::size_t palette_size() const { return palette_.size(); }

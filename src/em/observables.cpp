@@ -1,6 +1,7 @@
 #include "em/observables.hpp"
 
 #include <cmath>
+#include <stdexcept>
 
 #include "kernels/components.hpp"
 #include "kernels/reference.hpp"
@@ -97,13 +98,18 @@ double fixed_point_residual(const grid::FieldSet& fs) {
   return relative_change(fs, next);
 }
 
-double relative_change(const grid::FieldSet& a, const grid::FieldSet& b) {
+namespace {
+
+/// ||a - b|| / ||a|| over the 12 field arrays, b's array per component
+/// from `b_field`.
+template <class FieldOf>
+double relative_change_of(const grid::FieldSet& a, FieldOf b_field) {
   double num = 0.0;
   for (const auto& c : kernels::kComps) {
     // ||a - b||^2 accumulated per component without materializing a copy.
     const grid::Layout& L = a.layout();
     const grid::Field& fa = a.field(c.self);
-    const grid::Field& fb = b.field(c.self);
+    const grid::Field& fb = b_field(c.self);
     for (int k = 0; k < L.nz(); ++k) {
       for (int j = 0; j < L.ny(); ++j) {
         for (int i = 0; i < L.nx(); ++i) {
@@ -114,6 +120,25 @@ double relative_change(const grid::FieldSet& a, const grid::FieldSet& b) {
   }
   const double denom = fields_norm(a);
   return denom > 0.0 ? std::sqrt(num) / denom : std::sqrt(num);
+}
+
+}  // namespace
+
+double relative_change(const grid::FieldSet& a, const grid::FieldSet& b) {
+  return relative_change_of(a, [&](kernels::Comp c) -> const grid::Field& {
+    return b.field(c);
+  });
+}
+
+double relative_change(const grid::FieldSet& a, const FieldSnapshot& b) {
+  for (const grid::Field& f : b) {
+    if (!(f.layout() == a.layout())) {
+      throw std::invalid_argument("relative_change: snapshot layout mismatch");
+    }
+  }
+  return relative_change_of(a, [&](kernels::Comp c) -> const grid::Field& {
+    return b[kernels::idx(c)];
+  });
 }
 
 }  // namespace emwd::em

@@ -1,6 +1,7 @@
 // Physical observables on the THIIM state.
 #pragma once
 
+#include <array>
 #include <complex>
 #include <vector>
 
@@ -34,6 +35,13 @@ std::complex<double> parent_H(const grid::FieldSet& fs, int axis, int i, int j, 
 /// The THIIM iteration has converged to the time-harmonic solution when this
 /// stops decreasing.
 double relative_change(const grid::FieldSet& a, const grid::FieldSet& b);
+
+/// The 12 field arrays alone, indexed by kernels::idx(comp): a field
+/// snapshot without the 28 coefficient and source arrays of a FieldSet.
+using FieldSnapshot = std::array<grid::Field, kernels::kNumComps>;
+
+/// relative_change against a snapshot of `a`'s layout.
+double relative_change(const grid::FieldSet& a, const FieldSnapshot& b);
 
 /// L2 norm over all 12 field arrays.
 double fields_norm(const grid::FieldSet& fs);

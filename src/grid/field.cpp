@@ -8,6 +8,9 @@ namespace emwd::grid {
 
 Field::Field(const Layout& layout) : layout_(layout), data_(layout.padded_cells() * 2, 0.0) {}
 
+Field::Field(const Layout& layout, Uninitialized)
+    : layout_(layout), data_(layout.padded_cells() * 2) {}
+
 void Field::fill(std::complex<double> v) {
   const int nx = layout_.nx(), ny = layout_.ny(), nz = layout_.nz();
   for (int k = 0; k < nz; ++k) {
@@ -38,6 +41,15 @@ void Field::clear_halo() {
       }
     }
   }
+}
+
+void Field::clear_z_planes(int k0, int count) {
+  if (count < 0 || k0 < -layout_.halo() || k0 + count > layout_.nz() + layout_.halo()) {
+    throw std::out_of_range("clear_z_planes: plane range outside padded extent");
+  }
+  const std::size_t plane = static_cast<std::size_t>(layout_.stride_z()) * 2;
+  double* to = data_.data() + static_cast<std::size_t>(k0 + layout_.halo()) * plane;
+  std::fill(to, to + plane * static_cast<std::size_t>(count), 0.0);
 }
 
 void Field::copy_z_planes_from(const Field& src, int k_src, int k_dst, int count) {

@@ -11,10 +11,17 @@
 
 namespace emwd::grid {
 
+/// Tag for allocating storage without writing it; the contents are
+/// unspecified until the owner clears or fills them.
+struct Uninitialized {};
+inline constexpr Uninitialized kUninitialized{};
+
 class Field {
  public:
   Field() = default;
+  /// Zero-filled, halo included.
   explicit Field(const Layout& layout);
+  Field(const Layout& layout, Uninitialized);
 
   const Layout& layout() const { return layout_; }
 
@@ -40,6 +47,9 @@ class Field {
   void clear();
   /// Zero only the halo cells; used to restore Dirichlet boundaries.
   void clear_halo();
+  /// Zero `count` whole padded z-planes starting at logical plane k0 (same
+  /// plane indexing as copy_z_planes_from, halo planes reachable).
+  void clear_z_planes(int k0, int count);
 
   /// Copy `count` whole padded z-planes (interior plus x/y halo rows) from
   /// `src`, planes [k_src, k_src + count) into [k_dst, k_dst + count).

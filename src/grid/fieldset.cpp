@@ -1,14 +1,47 @@
 #include "grid/fieldset.hpp"
 
+#include <algorithm>
 #include <stdexcept>
+#include <vector>
+
+#include "exec/thread_pool.hpp"
 
 namespace emwd::grid {
 
-FieldSet::FieldSet(const Layout& layout) : layout_(layout) {
-  for (auto& f : fields_) f = Field(layout);
-  for (auto& f : coeff_t_) f = Field(layout);
-  for (auto& f : coeff_c_) f = Field(layout);
-  for (auto& f : sources_) f = Field(layout);
+namespace {
+
+template <std::size_t N>
+void append(std::vector<Field*>& out, std::array<Field, N>& arrays) {
+  for (auto& f : arrays) out.push_back(&f);
+}
+
+/// Zero every padded z-plane of `arrays`.  Thread r takes interior planes
+/// split_range(nz, parts, r); the first and last threads also take the
+/// halo planes below and above.
+void clear_in_slabs(const Layout& L, const std::vector<Field*>& arrays, int threads) {
+  const int nz = L.nz();
+  const int h = L.halo();
+  const int parts = std::clamp(threads, 1, std::max(nz, 1));
+  exec::ThreadTeam::run(parts, [&](int r) {
+    const exec::Chunk zc = exec::split_range(nz, parts, r);
+    const int k0 = r == 0 ? -h : zc.begin;
+    const int k1 = r == parts - 1 ? nz + h : zc.end;
+    for (Field* f : arrays) f->clear_z_planes(k0, k1 - k0);
+  });
+}
+
+}  // namespace
+
+FieldSet::FieldSet(const Layout& layout, int threads)
+    : FieldSet(layout, kUninitialized) {
+  clear_all(threads);
+}
+
+FieldSet::FieldSet(const Layout& layout, Uninitialized) : layout_(layout) {
+  for (auto& f : fields_) f = Field(layout, kUninitialized);
+  for (auto& f : coeff_t_) f = Field(layout, kUninitialized);
+  for (auto& f : coeff_c_) f = Field(layout, kUninitialized);
+  for (auto& f : sources_) f = Field(layout, kUninitialized);
 }
 
 Field* FieldSet::source_for(kernels::Comp c) {
@@ -21,15 +54,25 @@ const Field* FieldSet::source_for(kernels::Comp c) const {
   return s >= 0 ? &sources_[static_cast<std::size_t>(s)] : nullptr;
 }
 
-void FieldSet::clear_fields() {
-  for (auto& f : fields_) f.clear();
+void FieldSet::clear_fields(int threads) {
+  std::vector<Field*> arrays;
+  append(arrays, fields_);
+  clear_in_slabs(layout_, arrays, threads);
 }
 
-void FieldSet::clear_all() {
-  for (auto& f : fields_) f.clear();
-  for (auto& f : coeff_t_) f.clear();
-  for (auto& f : coeff_c_) f.clear();
-  for (auto& f : sources_) f.clear();
+void FieldSet::clear_sources(int threads) {
+  std::vector<Field*> arrays;
+  append(arrays, sources_);
+  clear_in_slabs(layout_, arrays, threads);
+}
+
+void FieldSet::clear_all(int threads) {
+  std::vector<Field*> arrays;
+  append(arrays, fields_);
+  append(arrays, coeff_t_);
+  append(arrays, coeff_c_);
+  append(arrays, sources_);
+  clear_in_slabs(layout_, arrays, threads);
 }
 
 void FieldSet::copy_fields_from(const FieldSet& other) {

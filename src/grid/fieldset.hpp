@@ -27,7 +27,16 @@ enum class XBoundary : std::uint8_t { Dirichlet, Periodic };
 class FieldSet {
  public:
   FieldSet() = default;
-  explicit FieldSet(const Layout& layout);
+  /// Allocate all 40 arrays and zero them, halos included, with
+  /// clear_all(threads): each of `threads` threads first-touches one z-slab
+  /// of every array, so the pages sit where an engine on the same thread
+  /// split reads them.  threads == 1 zeroes inline and starts no thread.
+  explicit FieldSet(const Layout& layout, int threads = 1);
+  /// Allocate all 40 arrays without writing them; the contents are
+  /// unspecified until clear_all().  For pools whose borrowers clear every
+  /// set they take (thiim::BorrowedState), so a fresh set is not zeroed
+  /// twice (at allocation and again on borrow).
+  FieldSet(const Layout& layout, Uninitialized);
 
   const Layout& layout() const { return layout_; }
 
@@ -48,13 +57,20 @@ class FieldSet {
   Field* source_for(kernels::Comp c);
   const Field* source_for(kernels::Comp c) const;
 
-  /// Zero all 12 field arrays (coefficients untouched).
-  void clear_fields();
+  // The clears below zero whole padded z-planes (interior and halo) split
+  // into z-slabs over `threads` threads (clamped to nz), the contiguous
+  // split the naive engine runs; threads == 1 starts no thread.
+
+  /// Zero all 12 field arrays (coefficients and sources untouched).
+  void clear_fields(int threads = 1);
+
+  /// Zero the 4 source arrays.
+  void clear_sources(int threads = 1);
 
   /// Zero all 40 arrays (fields, coefficients and sources, interior and
   /// halo) — bitwise the state of a freshly constructed FieldSet, so pooled
   /// sets can be recycled across simulations without allocator churn.
-  void clear_all();
+  void clear_all(int threads = 1);
 
   /// Copy the 12 field arrays from another set (layouts must match).
   void copy_fields_from(const FieldSet& other);

@@ -23,7 +23,8 @@ Simulation::Simulation(const SimulationConfig& cfg, const BorrowedState& borrowe
     : cfg_(cfg),
       layout_(cfg.grid),
       materials_(layout_),
-      params_(em::make_params(cfg.wavelength_cells, cfg.cfl)) {
+      params_(em::make_params(cfg.wavelength_cells, cfg.cfl)),
+      threads_(cfg.threads > 0 ? cfg.threads : util::detect_host().logical_cpus) {
   if (borrowed.fields) {
     if (!(borrowed.fields->layout().interior() == cfg.grid)) {
       throw std::invalid_argument(
@@ -32,9 +33,9 @@ Simulation::Simulation(const SimulationConfig& cfg, const BorrowedState& borrowe
     fields_ = borrowed.fields;
     // Recycled storage must be indistinguishable from a fresh allocation:
     // zero every array (stale coefficients, sources and halos included).
-    fields_->clear_all();
+    fields_->clear_all(threads_);
   } else {
-    owned_fields_ = std::make_unique<grid::FieldSet>(layout_);
+    owned_fields_ = std::make_unique<grid::FieldSet>(layout_, threads_);
     fields_ = owned_fields_.get();
   }
   fields_->set_x_boundary(cfg.x_boundary);
@@ -45,7 +46,7 @@ Simulation::Simulation(const SimulationConfig& cfg, const BorrowedState& borrowe
     const exec::EngineSpec spec = engine_spec_of(cfg);
     exec::BuildContext ctx;
     ctx.grid = cfg.grid;
-    ctx.threads = cfg.threads > 0 ? cfg.threads : util::detect_host().logical_cpus;
+    ctx.threads = threads_;
     ctx.machine = models::host_machine();
     owned_engine_ = exec::EngineRegistry::global().build(spec, ctx);
     engine_ = owned_engine_.get();
@@ -54,8 +55,9 @@ Simulation::Simulation(const SimulationConfig& cfg, const BorrowedState& borrowe
 
 void Simulation::finalize() {
   pml_ = em::PmlProfiles(layout_, cfg_.pml, params_.h);
-  em::build_coefficients(*fields_, materials_, pml_, params_);
-  fields_->clear_fields();
+  em::build_coefficients(*fields_, materials_, pml_, params_, threads_);
+  fields_->clear_fields(threads_);
+  fields_->clear_sources(threads_);
   finalized_ = true;
   steps_done_ = 0;
 }
@@ -112,11 +114,15 @@ void Simulation::set_step_hook(int every, std::function<bool(int)> fn) {
 
 double Simulation::run_until_converged(double tol, int max_steps, int check_every) {
   if (!finalized_) throw std::logic_error("Simulation: finalize() before run()");
-  grid::FieldSet snapshot(layout_);
+  // Only the 12 field arrays are compared, so only they are held: a full
+  // FieldSet would double the state (and its zeroing) for 28 unused arrays.
+  em::FieldSnapshot snapshot;
   double change = 1.0;
   int done = 0;
   while (done < max_steps) {
-    snapshot.copy_fields_from(*fields_);
+    for (const auto& c : kernels::kComps) {
+      snapshot[kernels::idx(c.self)] = fields_->field(c.self);
+    }
     const int chunk = std::min(check_every, max_steps - done);
     const int advanced = run(chunk);
     done += advanced;

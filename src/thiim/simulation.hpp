@@ -66,8 +66,11 @@ exec::EngineSpec engine_spec_of(const SimulationConfig& cfg);
 ///           prepared state (MWD tiling cache, sharded PreparableEngine
 ///           FieldSets), which is exactly what pooling amortizes.
 ///   fields: layout interior must equal cfg.grid (else std::invalid_argument).
-///           The set is clear_all()-ed on borrow, so results are bit-exact
-///           with a freshly constructed Simulation.
+///           Its contents may be stale or never written (the pool allocates
+///           sets uninitialized): the borrow clear_all()s it over z-slabs on
+///           the Simulation's thread budget, the same parallel zeroing an
+///           owned set gets at construction, so results are bit-exact with
+///           a freshly constructed Simulation.
 struct BorrowedState {
   exec::Engine* engine = nullptr;
   grid::FieldSet* fields = nullptr;
@@ -82,8 +85,9 @@ class Simulation {
   em::MaterialGrid& materials() { return materials_; }
   const em::MaterialGrid& materials() const { return materials_; }
 
-  /// Build coefficients from materials + PML; must be called before sources
-  /// or run().  Re-callable after material changes (sources are reset).
+  /// Build coefficients from materials + PML (em::build_coefficients on the
+  /// thread budget); must be called before sources or run().  Re-callable
+  /// after material changes or a run: fields and sources restart from zero.
   void finalize();
 
   void add_plane_wave(em::SourceField which, int k0, std::complex<double> amplitude);
@@ -153,6 +157,7 @@ class Simulation {
   em::ThiimParams params_;
   std::unique_ptr<exec::Engine> owned_engine_;
   exec::Engine* engine_ = nullptr;
+  int threads_ = 1;  // cfg.threads, or the host's logical cpus when 0
   bool finalized_ = false;
   int steps_done_ = 0;
   std::function<bool(int)> step_hook_;

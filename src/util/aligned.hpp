@@ -43,6 +43,16 @@ struct AlignedAllocator {
     ::operator delete(p, std::align_val_t(Align));
   }
 
+  /// Default-initialise instead of value-initialise: std::vector<double,
+  /// AlignedAllocator<double>>(n) leaves the doubles unwritten, so a caller
+  /// can zero them on the threads that will use them (first touch).  An
+  /// explicit value, as in v(n, 0.0), still writes it: std::allocator_traits
+  /// constructs from arguments itself when no matching construct() exists.
+  template <class U>
+  void construct(U* p) noexcept {
+    ::new (static_cast<void*>(p)) U;
+  }
+
   friend bool operator==(const AlignedAllocator&, const AlignedAllocator&) { return true; }
   friend bool operator!=(const AlignedAllocator&, const AlignedAllocator&) { return false; }
 };

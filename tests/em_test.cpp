@@ -3,6 +3,7 @@
 
 #include <cmath>
 #include <complex>
+#include <cstring>
 
 #include "em/coefficients.hpp"
 #include "em/geometry.hpp"
@@ -196,6 +197,94 @@ TEST(Coefficients, BuildAppliesPmlPerDerivativeAxis) {
   const cd t_y_shell = fs.coeff_t(Comp::Exz).at(4, 4, 0);   // axis Y, in shell
   EXPECT_LT(std::abs(t_z_shell), std::abs(t_z_core));       // damped
   EXPECT_NEAR(std::abs(t_y_shell), std::abs(t_z_core), 1e-12);  // untouched
+}
+
+/// PML on all six faces, five materials (silver needs the back
+/// iteration) and a rough textured interface: every table axis and every
+/// coefficient branch is exercised.  Odd nz so z-slabs split unevenly.
+struct TexturedScene {
+  grid::Layout L{grid::Extents{11, 9, 17}};
+  em::MaterialGrid mats{L};
+  em::ThiimParams p = em::make_params(9.0);
+  em::PmlProfiles pml{L,
+                      em::PmlSpec{.thickness = 3, .on_x = true, .on_y = true, .on_z = true},
+                      1.0};
+  TexturedScene() {
+    const auto ag = mats.add(em::silver());
+    const auto ucsi = mats.add(em::microcrystalline_silicon());
+    const auto asi = mats.add(em::amorphous_silicon());
+    const auto tco = mats.add(em::tco());
+    em::GeometryBuilder g(mats);
+    g.layer(ag, 0, 3);
+    g.textured_layer(ucsi, 3, 7, em::GeometryBuilder::rough_texture(3.0, 2.0, 11));
+    g.layer(asi, 9, 12);
+    g.layer(tco, 12, 14);
+  }
+};
+
+bool same_bytes(const grid::Field& a, const grid::Field& b) {
+  return a.size_bytes() == b.size_bytes() &&
+         std::memcmp(a.data(), b.data(), a.size_bytes()) == 0;
+}
+
+TEST(Coefficients, TabulatedBuildIsByteIdenticalToPerCellCompute) {
+  TexturedScene s;
+  ASSERT_EQ(s.mats.palette_size(), 5u);
+  grid::FieldSet built(s.L), ref(s.L);
+  em::build_coefficients(built, s.mats, s.pml, s.p);
+
+  // The definition the table must reproduce: compute_coeffs per cell.
+  bool back_iteration_seen = false;
+  for (const auto& comp : kernels::kComps) {
+    for (int k = 0; k < s.L.nz(); ++k) {
+      for (int j = 0; j < s.L.ny(); ++j) {
+        for (int i = 0; i < s.L.nx(); ++i) {
+          const int pos = comp.axis == Axis::X ? i : comp.axis == Axis::Y ? j : k;
+          const em::CoeffPair cc =
+              em::compute_coeffs(comp, s.mats.at(i, j, k), s.pml.sigma(comp.axis, pos),
+                                 s.pml.sigma_star(comp.axis, pos), s.p);
+          back_iteration_seen |= cc.back_iteration;
+          ref.coeff_t(comp.self).set(i, j, k, cc.t);
+          ref.coeff_c(comp.self).set(i, j, k, cc.c);
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(back_iteration_seen);
+  for (const auto& comp : kernels::kComps) {
+    EXPECT_TRUE(same_bytes(built.coeff_t(comp.self), ref.coeff_t(comp.self))) << comp.name;
+    EXPECT_TRUE(same_bytes(built.coeff_c(comp.self), ref.coeff_c(comp.self))) << comp.name;
+    EXPECT_TRUE(same_bytes(built.field(comp.self), ref.field(comp.self))) << comp.name;
+  }
+}
+
+TEST(Coefficients, BuildIsTheSameOnOneTwoAndThreeThreads) {
+  TexturedScene s;
+  grid::FieldSet one(s.L);
+  em::build_coefficients(one, s.mats, s.pml, s.p, 1);
+  for (int threads : {2, 3}) {
+    grid::FieldSet many(s.L);
+    em::build_coefficients(many, s.mats, s.pml, s.p, threads);
+    for (const auto& comp : kernels::kComps) {
+      EXPECT_TRUE(same_bytes(many.coeff_t(comp.self), one.coeff_t(comp.self)))
+          << comp.name << " on " << threads << " threads";
+      EXPECT_TRUE(same_bytes(many.coeff_c(comp.self), one.coeff_c(comp.self)))
+          << comp.name << " on " << threads << " threads";
+    }
+  }
+}
+
+TEST(Coefficients, BuildLeavesSourcesAndFieldsAlone) {
+  TexturedScene s;
+  grid::FieldSet fs(s.L);
+  fs.source(0).set(1, 2, 3, {4.0, 5.0});
+  fs.field(Comp::Hzx).set(3, 2, 1, {6.0, 7.0});
+  em::build_coefficients(fs, s.mats, s.pml, s.p, 2);
+  EXPECT_EQ(fs.source(0).at(1, 2, 3), cd(4.0, 5.0));
+  EXPECT_EQ(fs.field(Comp::Hzx).at(3, 2, 1), cd(6.0, 7.0));
+
+  em::MaterialGrid other(grid::Layout({11, 9, 16}));
+  EXPECT_THROW(em::build_coefficients(fs, other, s.pml, s.p), std::invalid_argument);
 }
 
 TEST(Coefficients, RandomStableIsContractiveAndSeeded) {

@@ -1,7 +1,10 @@
 // Unit tests for layouts, fields and the 12+28 array set.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <complex>
+#include <cstring>
+#include <vector>
 
 #include "grid/field.hpp"
 #include "grid/fieldset.hpp"
@@ -154,6 +157,70 @@ TEST(FieldSet, ClearFieldsKeepsCoefficients) {
   fs.clear_fields();
   EXPECT_EQ(fs.field(kernels::Comp::Exy).at(0, 0, 0), std::complex<double>(0, 0));
   EXPECT_EQ(fs.coeff_c(kernels::Comp::Exy).at(0, 0, 0), std::complex<double>(5, 5));
+}
+
+/// Every array of `fs`, fields first, then t, c and sources.
+std::vector<Field*> all_arrays(FieldSet& fs) {
+  std::vector<Field*> out;
+  for (const auto& c : kernels::kComps) out.push_back(&fs.field(c.self));
+  for (const auto& c : kernels::kComps) out.push_back(&fs.coeff_t(c.self));
+  for (const auto& c : kernels::kComps) out.push_back(&fs.coeff_c(c.self));
+  for (int s = 0; s < kernels::kNumSources; ++s) out.push_back(&fs.source(s));
+  return out;
+}
+
+/// True when every double of `f`, halo included, is +0.0.
+bool all_zero_bytes(const Field& f) {
+  const std::vector<double> zeros(f.size_complex() * 2, 0.0);
+  return std::memcmp(f.data(), zeros.data(), f.size_bytes()) == 0;
+}
+
+void fill_with(Field& f, double v) {
+  std::fill(f.data(), f.data() + 2 * f.size_complex(), v);
+}
+
+TEST(FieldSet, ParallelZeroingCoversEveryPlaneHaloIncluded) {
+  // Odd nz so the z-slabs are uneven; 3 threads split 7 interior planes and
+  // the first and last threads take the halo planes.
+  const Layout L({5, 4, 7});
+  for (int threads : {1, 2, 3, 9}) {
+    FieldSet fresh(L, threads);
+    for (Field* f : all_arrays(fresh)) {
+      EXPECT_TRUE(all_zero_bytes(*f)) << "fresh, threads " << threads;
+    }
+    FieldSet reused(L, grid::kUninitialized);
+    for (Field* f : all_arrays(reused)) fill_with(*f, -1.5);
+    reused.clear_all(threads);
+    for (Field* f : all_arrays(reused)) {
+      EXPECT_TRUE(all_zero_bytes(*f)) << "clear_all, threads " << threads;
+    }
+  }
+}
+
+TEST(FieldSet, PartialClearsTouchOnlyTheirArrays) {
+  const Layout L({4, 3, 5});
+  FieldSet fs(L, grid::kUninitialized);
+  const std::vector<Field*> arrays = all_arrays(fs);
+  for (Field* f : arrays) fill_with(*f, 2.0);
+  fs.clear_fields(3);
+  for (std::size_t a = 0; a < arrays.size(); ++a) {
+    EXPECT_EQ(all_zero_bytes(*arrays[a]), a < kernels::kNumComps) << "array " << a;
+  }
+  fs.clear_sources(2);
+  for (std::size_t a = 0; a < arrays.size(); ++a) {
+    const bool cleared = a < kernels::kNumComps || a >= 3 * kernels::kNumComps;
+    EXPECT_EQ(all_zero_bytes(*arrays[a]), cleared) << "array " << a;
+  }
+}
+
+TEST(Field, ClearZPlanesValidatesTheRange) {
+  const Layout L({2, 2, 3});
+  Field f(L, grid::kUninitialized);
+  fill_with(f, 1.0);
+  f.clear_z_planes(-1, 5);  // halo below, 3 interior planes, halo above
+  EXPECT_TRUE(all_zero_bytes(f));
+  EXPECT_THROW(f.clear_z_planes(-2, 1), std::out_of_range);
+  EXPECT_THROW(f.clear_z_planes(2, 3), std::out_of_range);
 }
 
 }  // namespace

@@ -1,6 +1,11 @@
 // Facade tests: the public Simulation API.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <limits>
+
+#include "batch/engine_pool.hpp"
 #include "kernels/row_kernel.hpp"
 #include "thiim/simulation.hpp"
 
@@ -142,6 +147,106 @@ TEST(Simulation, AbsorptionReportCoversPalette) {
   const auto abs = sim.absorption_by_material();
   ASSERT_EQ(abs.size(), 2u);
   EXPECT_GT(abs[asi], 0.0);  // absorbing layer dissipates
+}
+
+/// Every one of the 40 arrays of `a` and `b`, halos included, is equal
+/// byte for byte.
+bool same_state(const grid::FieldSet& a, const grid::FieldSet& b) {
+  auto same = [](const grid::Field& x, const grid::Field& y) {
+    return x.size_bytes() == y.size_bytes() &&
+           std::memcmp(x.data(), y.data(), x.size_bytes()) == 0;
+  };
+  for (const auto& c : kernels::kComps) {
+    if (!same(a.field(c.self), b.field(c.self)) ||
+        !same(a.coeff_t(c.self), b.coeff_t(c.self)) ||
+        !same(a.coeff_c(c.self), b.coeff_c(c.self))) {
+      return false;
+    }
+  }
+  for (int s = 0; s < kernels::kNumSources; ++s) {
+    if (!same(a.source(s), b.source(s))) return false;
+  }
+  return true;
+}
+
+/// A silver-backed scene with a plane wave: finalize + source.
+void set_up_scene(Simulation& sim) {
+  const auto ag = sim.materials().add(em::silver());
+  const auto asi = sim.materials().add(em::amorphous_silicon());
+  em::GeometryBuilder(sim.materials()).layer(ag, 0, 3).layer(asi, 5, 9);
+  sim.finalize();
+  sim.add_plane_wave(em::SourceField::Ex, 14, {1.0, 0.5});
+}
+
+TEST(Simulation, RefinalizeAfterARunRestartsFromZero) {
+  Simulation fresh(small_cfg("naive"));
+  set_up_scene(fresh);
+  fresh.run(6);
+
+  Simulation again(small_cfg("naive"));
+  set_up_scene(again);
+  again.run(4);
+  ASSERT_GT(again.total_energy(), 0.0);
+  again.finalize();  // same materials: fields and sources back to zero
+  EXPECT_DOUBLE_EQ(again.total_energy(), 0.0);
+  EXPECT_EQ(again.steps_done(), 0);
+  for (int s = 0; s < kernels::kNumSources; ++s) {
+    EXPECT_DOUBLE_EQ(again.fields().source(s).norm(), 0.0) << "source " << s;
+  }
+  again.add_plane_wave(em::SourceField::Ex, 14, {1.0, 0.5});
+  again.run(6);
+  EXPECT_TRUE(same_state(again.fields(), fresh.fields()));
+}
+
+TEST(Simulation, BorrowedPoolFieldsMatchAFreshSimulation) {
+  // Fresh pooled sets are allocated unwritten and recycled ones carry the
+  // previous job's state: both must run exactly like an owned set.
+  Simulation owned(small_cfg("naive"));
+  set_up_scene(owned);
+  owned.run(5);
+
+  batch::EnginePool pool;
+  const SimulationConfig cfg = small_cfg("naive");
+  for (int round = 0; round < 2; ++round) {
+    batch::EnginePool::FieldsLease lease = pool.acquire_fields(cfg.grid);
+    EXPECT_EQ(lease.reused, round == 1);
+    for (const auto& c : kernels::kComps) {  // poison every array, halos too
+      for (grid::Field* f : {&lease.fields->field(c.self), &lease.fields->coeff_t(c.self),
+                             &lease.fields->coeff_c(c.self)}) {
+        std::fill(f->data(), f->data() + 2 * f->size_complex(),
+                  std::numeric_limits<double>::quiet_NaN());
+      }
+    }
+    thiim::BorrowedState borrowed;
+    borrowed.fields = lease.fields.get();
+    Simulation sim(cfg, borrowed);
+    set_up_scene(sim);
+    sim.run(5);
+    EXPECT_TRUE(same_state(sim.fields(), owned.fields())) << "round " << round;
+    pool.release_fields(std::move(lease));
+  }
+}
+
+TEST(Simulation, ConvergenceSnapshotOfFieldsKeepsTheResult) {
+  // run_until_converged against the loop it replaces: a full FieldSet
+  // snapshot and relative_change over FieldSets.
+  Simulation sim(small_cfg("naive"));
+  set_up_scene(sim);
+  const double change = sim.run_until_converged(1e-30, 23, 5);
+
+  Simulation ref(small_cfg("naive"));
+  set_up_scene(ref);
+  grid::FieldSet snapshot(ref.fields().layout());
+  double ref_change = 1.0;
+  for (int done = 0; done < 23;) {
+    snapshot.copy_fields_from(ref.fields());
+    done += ref.run(std::min(5, 23 - done));
+    ref_change = em::relative_change(ref.fields(), snapshot);
+  }
+  EXPECT_EQ(sim.steps_done(), 23);
+  EXPECT_GT(change, 0.0);
+  EXPECT_EQ(change, ref_change);  // bitwise: the same sums in the same order
+  EXPECT_TRUE(same_state(sim.fields(), ref.fields()));
 }
 
 }  // namespace
